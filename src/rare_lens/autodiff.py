@@ -31,9 +31,8 @@ _TAPE_STACK: list["GradTape"] = []
 class Tensor:
     """Immutable-by-convention dense array with a requires_grad flag.
 
-    `data` exposes the flat row-major view the rest of the package treats as
-    canonical. Training loops may swap the underlying array between tape
-    scopes via `assign_` (never while a tape that saw the tensor is alive).
+    Training loops may swap the underlying array between tape scopes via
+    `assign_` (never while a tape that saw the tensor is alive).
     """
 
     __slots__ = ("array", "requires_grad", "id")
@@ -53,10 +52,6 @@ class Tensor:
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
 
-    @property
-    def data(self) -> np.ndarray:
-        return self.array.reshape(-1)
-
     def item(self) -> float:
         if self.array.size != 1:
             raise ShapeError(f"item() needs a single value, got shape {self.shape}")
@@ -71,30 +66,6 @@ class Tensor:
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
-
-    # Small operator sugar; the named functions below are the real surface.
-    def __add__(self, other):
-        return add(self, other)
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-
-def tensor(array, requires_grad: bool = False) -> Tensor:
-    return Tensor(array, requires_grad=requires_grad)
 
 
 def _out(arr: np.ndarray) -> Tensor:
@@ -245,54 +216,15 @@ def gather_elements(a: Tensor, rows, cols) -> Tensor:
     return _record(out, (a,), (vjp,))
 
 
-def slice_cols(a: Tensor, lo: int, hi: int) -> Tensor:
-    def vjp(g):
-        out = np.zeros_like(a.array)
-        out[:, lo:hi] = g
-        return out
-
-    out = _out(a.array[:, lo:hi])
-    return _record(out, (a,), (vjp,))
-
-
-def slice_rows(a: Tensor, lo: int, hi: int) -> Tensor:
-    def vjp(g):
-        out = np.zeros_like(a.array)
-        out[lo:hi, :] = g
-        return out
-
-    out = _out(a.array[lo:hi, :])
-    return _record(out, (a,), (vjp,))
-
-
-def _offsets(sizes: list[int]) -> list[int]:
-    acc = [0]
-    for s in sizes:
-        acc.append(acc[-1] + s)
-    return acc
-
-
 def concat_rows(parts: Sequence[Tensor]) -> Tensor:
     if not parts:
         raise ContractError("concat_rows needs at least one part")
-    offsets = _offsets([p.shape[0] for p in parts])
+    offsets = list(itertools.accumulate((p.shape[0] for p in parts), initial=0))
     vjps = [
         (lambda lo, hi: (lambda g: g[lo:hi, :]))(offsets[i], offsets[i + 1])
         for i in range(len(parts))
     ]
     out = _out(np.concatenate([p.array for p in parts], axis=0))
-    return _record(out, tuple(parts), tuple(vjps))
-
-
-def concat_cols(parts: Sequence[Tensor]) -> Tensor:
-    if not parts:
-        raise ContractError("concat_cols needs at least one part")
-    offsets = _offsets([p.shape[1] for p in parts])
-    vjps = [
-        (lambda lo, hi: (lambda g: g[:, lo:hi]))(offsets[i], offsets[i + 1])
-        for i in range(len(parts))
-    ]
-    out = _out(np.concatenate([p.array for p in parts], axis=1))
     return _record(out, tuple(parts), tuple(vjps))
 
 

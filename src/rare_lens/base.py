@@ -57,15 +57,6 @@ def check_matrix(x, name: str, cols: int | None = None) -> np.ndarray:
     return arr
 
 
-def check_vector(x, name: str, size: int | None = None) -> np.ndarray:
-    arr = np.asarray(x, dtype=np.float64).reshape(-1)
-    if size is not None and arr.shape[0] != size:
-        raise ShapeError(f"{name} must have {size} entries, got {arr.shape[0]}")
-    if not np.isfinite(arr).all():
-        raise ShapeError(f"{name} contains non-finite values")
-    return arr
-
-
 def check_labels(y, name: str, n_classes: int) -> np.ndarray:
     arr = np.asarray(y, dtype=np.intp).reshape(-1)
     if arr.size and (arr.min() < 0 or arr.max() >= n_classes):

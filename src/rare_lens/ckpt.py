@@ -1,22 +1,27 @@
-"""Binary checkpoint formats: named f32 blobs, fixed headers, CRC32 footers.
+"""Binary checkpoint container: JSON header, named f32 blobs, CRC32 footer.
 
-Three artifact files share one blob codec:
+All three artifact files share one layout:
 
-  vlm.ckpt      "RLVM" | u16 version | u32 L, heads, D, vocab | blobs | crc32
-  classes.ckpt  "RLCE" | u16 version | u32 C, D, d_v, d_t | f64 kappa
-                | blobs | class-name JSON block | crc32
-  adapter.ckpt  "RLAD" | u16 version | u32 D, heads | blobs
-                | u32 paired class-table crc | crc32
+  magic(4) | u16 VERSION | u32 n | n bytes of sort-keyed JSON header
+  | u32 count | count x (u32 name length, name, u32 ndim, u32 dims, f32 data)
+  | u32 crc32
 
-All integers little-endian. The crc32 covers every byte before it; loaders
-reject mismatches. Weights are stored f32, so training stages round their
-results through f32 before downstream use — that makes resumed runs
-bit-identical to uninterrupted ones.
+Blobs are sorted by name. The magic names the kind (vlm.ckpt "RLVM",
+classes.ckpt "RLCE", adapter.ckpt "RLAD") and the header carries what loading
+needs: the decoder's VLMConfig fields plus its vocab size, the EMA kappa and
+class names, or the adapter's head count and paired class-table CRC.
+
+All integers little-endian. The footer is the CRC32 of every byte before it;
+loaders reject mismatches, and the pipeline records each footer so it can
+tell one valid file from another on resume. Weights are stored f32, so
+training stages round their results through f32 before downstream use; that
+makes resumed runs bit-identical to uninterrupted ones.
 """
 
 from __future__ import annotations
 
 import json
+import os
 import struct
 import zlib
 from pathlib import Path
@@ -26,7 +31,7 @@ import numpy as np
 from .autodiff import Tensor
 from .errors import ChecksumError, PairingError
 
-VERSION = 1
+VERSION = 2
 
 
 def _blob_bytes(name: str, arr: np.ndarray) -> bytes:
@@ -43,7 +48,7 @@ def _encode_blobs(weights: dict[str, Tensor]) -> bytes:
     return out
 
 
-def _decode_blobs(buf: bytes, offset: int) -> tuple[dict[str, np.ndarray], int]:
+def _decode_blobs(buf: bytes, offset: int) -> dict[str, np.ndarray]:
     (count,) = struct.unpack_from("<I", buf, offset)
     offset += 4
     blobs: dict[str, np.ndarray] = {}
@@ -60,7 +65,7 @@ def _decode_blobs(buf: bytes, offset: int) -> tuple[dict[str, np.ndarray], int]:
         arr = np.frombuffer(buf, dtype="<f4", count=size, offset=offset)
         offset += 4 * size
         blobs[name] = arr.astype(np.float64).reshape(shape)
-    return blobs, offset
+    return blobs
 
 
 def weights_crc(weights: dict[str, Tensor]) -> int:
@@ -77,85 +82,65 @@ def round_f32(weights: dict[str, Tensor]) -> dict[str, Tensor]:
     }
 
 
-def file_crc(path) -> int:
-    return zlib.crc32(Path(path).read_bytes())
+def _save(path, magic: bytes, header: dict, weights: dict[str, Tensor]) -> int:
+    head = json.dumps(header, sort_keys=True).encode()
+    body = magic + struct.pack("<HI", VERSION, len(head)) + head + _encode_blobs(weights)
+    crc = zlib.crc32(body)
+    Path(path).write_bytes(body + struct.pack("<I", crc))
+    return crc
 
 
-def _finish(path, body: bytes) -> None:
-    Path(path).write_bytes(body + struct.pack("<I", zlib.crc32(body)))
-
-
-def _checked_body(path, magic: bytes) -> bytes:
+def _load(path, magic: bytes) -> tuple[dict, dict[str, np.ndarray]]:
     buf = Path(path).read_bytes()
-    if len(buf) < 10 or buf[:4] != magic:
+    if len(buf) < 14 or buf[:4] != magic:
         raise ChecksumError(f"{path}: bad magic (expected {magic!r})")
     body, (stored,) = buf[:-4], struct.unpack("<I", buf[-4:])
     if zlib.crc32(body) != stored:
         raise ChecksumError(f"{path}: CRC mismatch, file is corrupt")
-    (version,) = struct.unpack_from("<H", body, 4)
+    version, n = struct.unpack_from("<HI", body, 4)
     if version != VERSION:
         raise ChecksumError(f"{path}: unsupported version {version}")
-    return body
+    return json.loads(body[10 : 10 + n]), _decode_blobs(body, 10 + n)
 
 
-# -- vlm.ckpt ---------------------------------------------------------------
+def footer_crc(path) -> int | None:
+    """The stored CRC32 footer, read without the body; None if shorter than 4 bytes."""
+    with open(path, "rb") as fh:
+        if fh.seek(0, os.SEEK_END) < 4:
+            return None
+        fh.seek(-4, os.SEEK_END)
+        return int.from_bytes(fh.read(4), "little")
 
 
-def save_vlm(path, layers: int, heads: int, dim: int, vocab: int,
-             weights: dict[str, Tensor]) -> None:
-    body = b"RLVM" + struct.pack("<HIIII", VERSION, layers, heads, dim, vocab)
-    body += _encode_blobs(weights)
-    _finish(path, body)
+# Each writer returns the stored footer; each reader returns (header, blobs).
 
 
-def load_vlm(path) -> tuple[tuple[int, int, int, int], dict[str, np.ndarray]]:
-    body = _checked_body(path, b"RLVM")
-    layers, heads, dim, vocab = struct.unpack_from("<IIII", body, 6)
-    blobs, _ = _decode_blobs(body, 22)
-    return (layers, heads, dim, vocab), blobs
+def save_vlm(path, header: dict, weights: dict[str, Tensor]) -> int:
+    return _save(path, b"RLVM", header, weights)
 
 
-# -- classes.ckpt -----------------------------------------------------------
+def load_vlm(path) -> tuple[dict, dict[str, np.ndarray]]:
+    return _load(path, b"RLVM")
 
 
-def save_classes(path, n_classes: int, dim: int, d_v: int, d_t: int,
-                 kappa: float, weights: dict[str, Tensor],
-                 class_names: list[str]) -> None:
-    body = b"RLCE" + struct.pack("<HIIIId", VERSION, n_classes, dim, d_v, d_t, kappa)
-    body += _encode_blobs(weights)
-    names_json = json.dumps(class_names).encode()
-    body += struct.pack("<I", len(names_json)) + names_json
-    _finish(path, body)
+def save_classes(path, header: dict, weights: dict[str, Tensor]) -> int:
+    return _save(path, b"RLCE", header, weights)
 
 
-def load_classes(path):
-    body = _checked_body(path, b"RLCE")
-    n_classes, dim, d_v, d_t, kappa = struct.unpack_from("<IIIId", body, 6)
-    blobs, offset = _decode_blobs(body, 30)
-    (names_len,) = struct.unpack_from("<I", body, offset)
-    names = json.loads(body[offset + 4 : offset + 4 + names_len].decode())
-    return (n_classes, dim, d_v, d_t, kappa), blobs, names
+def load_classes(path) -> tuple[dict, dict[str, np.ndarray]]:
+    return _load(path, b"RLCE")
 
 
-# -- adapter.ckpt -----------------------------------------------------------
-
-
-def save_adapter(path, dim: int, heads: int, weights: dict[str, Tensor],
-                 table_crc: int) -> None:
-    body = b"RLAD" + struct.pack("<HII", VERSION, dim, heads)
-    body += _encode_blobs(weights)
-    body += struct.pack("<I", table_crc)
-    _finish(path, body)
+def save_adapter(path, header: dict, weights: dict[str, Tensor]) -> int:
+    return _save(path, b"RLAD", header, weights)
 
 
 def load_adapter(path, expect_table_crc: int | None = None):
-    body = _checked_body(path, b"RLAD")
-    dim, heads = struct.unpack_from("<II", body, 6)
-    blobs, offset = _decode_blobs(body, 14)
-    (table_crc,) = struct.unpack_from("<I", body, offset)
+    header, blobs = _load(path, b"RLAD")
+    table_crc = header["table_crc"]
     if expect_table_crc is not None and table_crc != expect_table_crc:
         raise PairingError(
             f"{path}: adapter was trained against class table crc {table_crc}, "
             f"but {expect_table_crc} was supplied"
         )
-    return (dim, heads), blobs, table_crc
+    return header, blobs

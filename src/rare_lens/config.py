@@ -4,7 +4,9 @@ A run is a pure function of (config, seed). Defaults carry the documented
 operating point: EMA coefficient 0.95, top-k of 3, learning rate 1e-4 with
 weight decay 0.01 for the embedding and adapter stages, 20 embedding epochs
 (split 10 + 10) and 10 adapter epochs at batch size one. Unknown keys are
-rejected so typos cannot silently fall back to defaults.
+rejected so typos cannot silently fall back to defaults. The pipeline builds
+each estimator from its section: AdapterConfig holds exactly the adapter's
+parameters but the seed, EmbeddingConfig the learner's plus budget and gate.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from pathlib import Path
 
 from .embeddings import EmbeddingConfig
 from .errors import ConfigError
-from .vlm import FixtureConfig, VLMConfig
+from .vlm import FixtureConfig
 from .world import ImbalanceProfile
 
 
@@ -96,11 +98,6 @@ class ExperimentConfig:
         return self
 
 
-# Recorded operating point of the reference-scale system (8 heads, width
-# 1024, 32 decoder layers); kept for documentation, not trained here.
-PAPER_SCALE = {"heads": 8, "dim": 1024, "decoder_layers": 32, "kappa": 0.95, "k": 3}
-
-
 def _build(cls, doc: dict, path: str):
     if not isinstance(doc, dict):
         raise ConfigError(f"{path or 'config'}: expected an object")
@@ -110,25 +107,15 @@ def _build(cls, doc: dict, path: str):
         raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in doc.items():
-        target = _FIELD_TYPES.get((cls, name))
-        if target is not None:
-            kwargs[name] = _build(target, value, f"{path}.{name}" if path else name)
+        section = known[name].default_factory  # a nested config class, or MISSING
+        if is_dataclass(section):
+            kwargs[name] = _build(section, value, f"{path}.{name}" if path else name)
         else:
             kwargs[name] = value
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
-
-
-_FIELD_TYPES = {
-    (ExperimentConfig, "dataset"): DatasetConfig,
-    (ExperimentConfig, "fixture"): FixtureConfig,
-    (ExperimentConfig, "embeddings"): EmbeddingConfig,
-    (ExperimentConfig, "adapter"): AdapterConfig,
-    (ExperimentConfig, "inference"): InferenceConfig,
-    (FixtureConfig, "vlm"): VLMConfig,
-}
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:

@@ -5,13 +5,13 @@ heads with a multi-positive contrastive loss over synonym-augmented text
 pools. Phase two adds a class-discrimination term against the prototype
 table, which itself starts from averaged projected visual features and then
 follows an exponential-moving-average of the per-class means once per epoch.
-The prototype table receives no gradient by default; the EMA rule is its
-only update path (a gradient flag exists for the alternative reading).
+The prototype table receives no gradient; the EMA rule is its only update
+path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -134,9 +134,7 @@ def ema_update(
 # ---------------------------------------------------------------------------
 
 
-def align_loss(
-    h_v: Tensor, h_t: Tensor, positives: np.ndarray, temperature: float = 1.0
-) -> Tensor:
+def align_loss(h_v: Tensor, h_t: Tensor, positives: np.ndarray) -> Tensor:
     """Multi-positive contrastive loss pulling each visual toward its class texts.
 
     positives[i, j] marks text j as sharing sample i's class; every row needs
@@ -147,31 +145,23 @@ def align_loss(
         raise ContractError(f"positives shape {pos.shape} does not match batch")
     if (pos.sum(axis=1) == 0).any():
         raise ContractError("a sample has an empty positive set")
-    sims = ad.cosine_matrix(h_v, h_t)
-    if temperature != 1.0:
-        sims = ad.scale(sims, 1.0 / temperature)
-    expsims = ad.exp(sims)
+    expsims = ad.exp(ad.cosine_matrix(h_v, h_t))
     ones = Tensor(np.ones((h_t.shape[0], 1)))
     numer = ad.matmul(ad.mul(expsims, Tensor(pos)), ones)
     denom = ad.matmul(expsims, ones)
     return ad.mean_all(ad.sub(ad.log(denom), ad.log(numer)))
 
 
-def class_loss(
-    x: Tensor, labels, table: ClassEmbeddingTable, temperature: float = 1.0
-) -> Tensor:
+def class_loss(x: Tensor, labels, table: ClassEmbeddingTable) -> Tensor:
     """Cosine-softmax cross-entropy of projected embeddings against prototypes.
 
     Gradient reaches the projections only unless the table tensor itself
-    requires grad (the EMA-only default keeps it frozen).
+    requires grad (the EMA-updated table does not).
     """
     y = check_labels(labels, "labels", table.n_classes)
     if y.shape[0] != x.shape[0]:
         raise ContractError("labels must match the embedding batch")
-    sims = ad.cosine_matrix(x, table.w)
-    if temperature != 1.0:
-        sims = ad.scale(sims, 1.0 / temperature)
-    logp = ad.log_softmax_rows(sims)
+    logp = ad.log_softmax_rows(ad.cosine_matrix(x, table.w))
     picked = ad.gather_elements(logp, np.arange(y.shape[0]), y)
     return ad.scale(ad.mean_all(picked), -1.0)
 
@@ -192,8 +182,6 @@ class ClassEmbeddingLearner(ParamMixin):
     epochs_align, epochs_joint : phase lengths (alignment, then joint).
     batch_size : visual minibatch size; full batch when the set is smaller.
     class_weight : weight of the discriminative term in the joint phase.
-    temperature : divisor inside both exponentials (1.0 = plain cosines).
-    w_gradient : let the prototype table take gradient steps as well as EMA.
 
     Fitted attributes: heads_, table_, history_ (per-epoch loss rows).
     """
@@ -208,8 +196,6 @@ class ClassEmbeddingLearner(ParamMixin):
         epochs_joint: int = 10,
         batch_size: int = 128,
         class_weight: float = 1.0,
-        temperature: float = 1.0,
-        w_gradient: bool = False,
         seed: int = 0,
     ):
         self.dim = dim
@@ -220,8 +206,6 @@ class ClassEmbeddingLearner(ParamMixin):
         self.epochs_joint = epochs_joint
         self.batch_size = batch_size
         self.class_weight = class_weight
-        self.temperature = temperature
-        self.w_gradient = w_gradient
         self.seed = seed
 
     # -- fitted-surface helpers ------------------------------------------
@@ -275,8 +259,7 @@ class ClassEmbeddingLearner(ParamMixin):
 
         def eval_align() -> float:
             return align_loss(
-                heads.project_visual(zv), heads.project_text(zt_t),
-                positives, self.temperature,
+                heads.project_visual(zv), heads.project_text(zt_t), positives
             ).item()
 
         def projected_means() -> dict[int, np.ndarray]:
@@ -300,7 +283,6 @@ class ClassEmbeddingLearner(ParamMixin):
                         heads.project_visual(zv[idx]),
                         heads.project_text(zt_t),
                         positives[idx],
-                        self.temperature,
                     )
                 optimizer.step(backward(loss, tape))
             guard.accept(eval_align())
@@ -316,17 +298,11 @@ class ClassEmbeddingLearner(ParamMixin):
             self.kappa,
             self.seed,
         )
-        if self.w_gradient:
-            table.w.requires_grad = True
-            optimizer = AdamW(
-                heads.parameters() + [table.w], lr=self.lr,
-                weight_decay=self.weight_decay,
-            )
 
         def eval_joint(tab) -> tuple[float, float, float]:
             a = eval_align()
             full = ad.concat_rows([heads.project_visual(zv), heads.project_text(zt_t)])
-            c = class_loss(full, np.concatenate([yv, yt]), tab, self.temperature).item()
+            c = class_loss(full, np.concatenate([yv, yt]), tab).item()
             return a + self.class_weight * c, a, c
 
         # Phase 2: joint objective with one EMA prototype update per epoch.
@@ -335,23 +311,20 @@ class ClassEmbeddingLearner(ParamMixin):
         guard.best = joint
         for epoch in range(self.epochs_joint):
             guard.snapshot()
-            before = (table, np.array(table.w.array))
+            before = table
             for idx in batches():
                 with GradTape() as tape:
                     hv = heads.project_visual(zv[idx])
                     ht = heads.project_text(zt_t)
-                    loss = align_loss(hv, ht, positives[idx], self.temperature)
+                    loss = align_loss(hv, ht, positives[idx])
                     both = ad.concat_rows([hv, ht])
-                    closs = class_loss(
-                        both, np.concatenate([yv[idx], yt]), table, self.temperature
-                    )
+                    closs = class_loss(both, np.concatenate([yv[idx], yt]), table)
                     loss = ad.add(loss, ad.scale(closs, self.class_weight))
                 optimizer.step(backward(loss, tape))
             table = ema_update(table, projected_means())
             joint, a_val, c_val = eval_joint(table)
             if not guard.accept(joint):
-                table = before[0]
-                table.w.assign_(before[1])
+                table = before
                 joint, a_val, c_val = eval_joint(table)
             history.append(
                 {"epoch": self.epochs_align + epoch, "phase": 2,
@@ -360,10 +333,7 @@ class ClassEmbeddingLearner(ParamMixin):
 
         # Storage precision is canonical; pair heads and table by checksum.
         heads.weights = round_f32(heads.weights)
-        table.w = Tensor(
-            table.w.array.astype(np.float32).astype(np.float64),
-            requires_grad=table.w.requires_grad,
-        )
+        table.w = Tensor(table.w.array.astype(np.float32).astype(np.float64))
         token = weights_crc({**heads.weights, "table.w": table.w})
         heads.pair_token = token
         table.pair_token = token
@@ -388,11 +358,16 @@ class EmbeddingConfig:
     epochs_joint: int = 10
     batch_size: int = 128
     class_weight: float = 1.0
-    temperature: float = 1.0
-    w_gradient: bool = False
     budget_per_class: int = 24
     gate_accuracy: float = 0.95
     gate_rare_recall: float = 0.90
+
+    def learner(self, seed: int) -> ClassEmbeddingLearner:
+        """The estimator these fields configure; budget and gate stay here."""
+        names = ClassEmbeddingLearner._param_names()
+        return ClassEmbeddingLearner(
+            **{k: v for k, v in asdict(self).items() if k in names}, seed=seed
+        )
 
 
 def pooled_crops(world: World, encoder: VisionEncoder, split: str):
@@ -427,13 +402,7 @@ def train_class_embeddings(
     zt = np.array([text_encoder.encode(p) for _, p in drawn])
     yt = np.array([c for c, _ in drawn])
 
-    learner = ClassEmbeddingLearner(
-        dim=cfg.dim, kappa=cfg.kappa, lr=cfg.lr, weight_decay=cfg.weight_decay,
-        epochs_align=cfg.epochs_align, epochs_joint=cfg.epochs_joint,
-        batch_size=cfg.batch_size, class_weight=cfg.class_weight,
-        temperature=cfg.temperature, w_gradient=cfg.w_gradient, seed=seed,
-    )
-    learner.fit(zv, yv, zt, yt, m.names)
+    learner = cfg.learner(seed).fit(zv, yv, zt, yt, m.names)
 
     zv_test, yv_test = pooled_crops(world, encoder, "test")
     predicted = learner.predict(zv_test)

@@ -1,11 +1,13 @@
 """Experiment orchestration: staged pipeline, evaluation, sweeps, probes.
 
 Stages run gen-data -> pretrain-vlm -> train-embeddings -> train-adapter ->
-eval, each persisting its artifact plus a hash in run_meta.json that binds
-the stage config to its upstream checksums. A resumed run reuses every stage
-whose artifact still matches and re-executes everything downstream of the
-first stale stage; because trained weights are rounded to storage precision
-at stage boundaries, resumed runs are bit-identical to uninterrupted ones.
+eval. PIPELINE lists them and one loop in run_pipeline drives them: each
+persists its artifact plus a record in run_meta.json holding a hash that
+binds the stage config to its upstream hashes and, for checkpoints, the
+file's stored CRC footer. A resumed run reuses every stage whose artifact
+still matches and re-executes everything downstream of the first stale
+stage; because trained weights are rounded to storage precision at stage
+boundaries, resumed runs are bit-identical to uninterrupted ones.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from . import ckpt
 from .adapter import VisualTokenAdapter
 from .autodiff import Tensor
-from .config import AdapterConfig, ExperimentConfig, config_hash
+from .config import ExperimentConfig, config_hash
 from .embeddings import (
     ClassEmbeddingLearner,
     ClassEmbeddingTable,
@@ -54,95 +57,6 @@ class Artifacts:
     tokenizer: Tokenizer | None = None
     learner: ClassEmbeddingLearner | None = None
     adapter: VisualTokenAdapter | None = None
-
-
-# ---------------------------------------------------------------------------
-# artifact persistence
-# ---------------------------------------------------------------------------
-
-
-def save_vlm_artifact(out: Path, vlm: VLM, tokenizer: Tokenizer) -> None:
-    ckpt.save_vlm(
-        out / "vlm.ckpt",
-        vlm.config.layers,
-        vlm.config.heads,
-        vlm.config.dim,
-        len(tokenizer),
-        vlm.head_synced_weights(),
-    )
-    tokenizer.save(out / "vocab.json")
-
-
-def load_vlm_artifact(out: Path) -> tuple[VLM, Tokenizer]:
-    (layers, heads, dim, vocab), blobs = ckpt.load_vlm(out / "vlm.ckpt")
-    tokenizer = Tokenizer.load(out / "vocab.json")
-    if len(tokenizer) != vocab:
-        raise PairingError("vocab.json does not match the checkpoint vocab size")
-    tied = bool(np.array_equal(blobs["head"], blobs["wte"].T))
-    cfg = VLMConfig(
-        layers=layers,
-        heads=heads,
-        dim=dim,
-        ffn_hidden=blobs["layer0.w1"].shape[1],
-        context=blobs["wpe"].shape[0],
-        d_v=blobs["connector"].shape[0],
-        tie_head=tied,
-    )
-    weights = {k: Tensor(v) for k, v in blobs.items() if not (tied and k == "head")}
-    return VLM(cfg, weights, frozen=True), tokenizer
-
-
-def save_learner_artifact(out: Path, learner: ClassEmbeddingLearner) -> None:
-    heads, table = learner.heads_, learner.table_
-    weights = {**heads.weights, "table.w": table.w}
-    dim = table.w.shape[1]
-    ckpt.save_classes(
-        out / "classes.ckpt",
-        table.n_classes,
-        dim,
-        heads.weights["gv.w1"].shape[0],
-        heads.weights["gt.w1"].shape[0],
-        table.kappa,
-        weights,
-        table.class_names,
-    )
-
-
-def load_learner_artifact(out: Path) -> ClassEmbeddingLearner:
-    (n_classes, dim, _, _, kappa), blobs, names = ckpt.load_classes(out / "classes.ckpt")
-    table_w = Tensor(blobs.pop("table.w"))
-    heads = ProjectionHeads({k: Tensor(v) for k, v in blobs.items()})
-    token = ckpt.weights_crc({**heads.weights, "table.w": table_w})
-    heads.pair_token = token
-    table = ClassEmbeddingTable(table_w, names, kappa, pair_token=token)
-    learner = ClassEmbeddingLearner(dim=dim, kappa=kappa)
-    learner.heads_ = heads
-    learner.table_ = table
-    learner.history_ = []
-    return learner
-
-
-def save_adapter_artifact(out: Path, adapter: VisualTokenAdapter, dim: int) -> None:
-    ckpt.save_adapter(
-        out / "adapter.ckpt", dim, adapter.heads, adapter.params_, adapter.table_crc_
-    )
-
-
-def load_adapter_artifact(out: Path, cfg: AdapterConfig,
-                          expect_table_crc: int | None) -> VisualTokenAdapter:
-    (dim, heads), blobs, table_crc = ckpt.load_adapter(
-        out / "adapter.ckpt", expect_table_crc
-    )
-    adapter = VisualTokenAdapter(
-        heads=heads, epochs=cfg.epochs, lr=cfg.lr, weight_decay=cfg.weight_decay,
-        rec_weight=cfg.rec_weight, autoreg_weight=cfg.autoreg_weight,
-        supervise=cfg.supervise, per_class_cap=cfg.per_class_cap,
-        rare_boost=cfg.rare_boost,
-    )
-    adapter.params_ = {k: Tensor(v) for k, v in blobs.items()}
-    adapter.table_crc_ = table_crc
-    adapter.history_ = []
-    return adapter
 
 
 # ---------------------------------------------------------------------------
@@ -245,22 +159,167 @@ def report_params(arts: Artifacts) -> dict:
 # staged pipeline
 # ---------------------------------------------------------------------------
 
-STAGES = ("dataset", "vlm", "classes", "adapter", "eval")
+
+@dataclass(frozen=True)
+class Stage:
+    """One pipeline stage: its hash inputs and its build, save and load steps.
+
+    inputs(cfg, got) -> dict; build(cfg, got, records) -> (product, extra
+    record fields); save(path, product) -> stored checkpoint CRC or None;
+    load(cfg, path, got) -> product. `got` maps finished stages to their
+    products and `records` is run_meta.json's stage table. Steps look their
+    callees up at call time, so wrappers installed on module attributes (as
+    benchmarks/tracing.py does) see every call.
+    """
+
+    name: str
+    upstream: tuple[str, ...]
+    file: str
+    inputs: Callable
+    build: Callable
+    save: Callable
+    load: Callable
 
 
-class _Meta:
-    def __init__(self, path: Path):
-        self.path = path
-        self.doc = {"stages": {}}
-        if path.exists():
-            self.doc = json.loads(path.read_text())
+def _artifacts(got: dict) -> Artifacts:
+    world = got["dataset"]
+    vlm, tokenizer = got.get("vlm", (None, None))
+    return Artifacts(world, VisionEncoder.for_world(world), vlm, tokenizer,
+                     got.get("classes"), got.get("adapter"))
 
-    def get(self, stage: str) -> dict | None:
-        return self.doc["stages"].get(stage)
 
-    def put(self, stage: str, record: dict) -> None:
-        self.doc["stages"][stage] = record
-        self.path.write_text(json.dumps(self.doc, indent=1, sort_keys=True))
+def _build_dataset(cfg: ExperimentConfig, got: dict, records: dict):
+    d = cfg.dataset
+    world = generate_dataset(
+        d.n_classes, d.grid, d.d_v, d.profile(), cfg.seed, d_t=d.d_t,
+        alpha=d.alpha, noise=d.noise, vision_identity=d.vision_identity,
+    )
+    return world, {}
+
+
+def _build_vlm(cfg: ExperimentConfig, got: dict, records: dict):
+    vlm, tokenizer, log = pretrain_fixture(got["dataset"], cfg.fixture, cfg.seed)
+    return (vlm, tokenizer), {"weights_crc": vlm.checksum(), "gate": log["gate"],
+                              "epoch_losses": log["epoch_losses"]}
+
+
+def _save_vlm(path: Path, product) -> int:
+    vlm, tokenizer = product
+    crc = ckpt.save_vlm(path, {**asdict(vlm.config), "vocab": len(tokenizer)},
+                        vlm.head_synced_weights())
+    tokenizer.save(path.with_name("vocab.json"))
+    return crc
+
+
+def _load_vlm(cfg: ExperimentConfig, path: Path, got: dict):
+    header, blobs = ckpt.load_vlm(path)
+    tokenizer = Tokenizer.load(path.with_name("vocab.json"))
+    if len(tokenizer) != header.pop("vocab"):
+        raise PairingError("vocab.json does not match the checkpoint vocab size")
+    del blobs["head"]  # stored for the record; the live head is wte transposed
+    weights = {k: Tensor(v) for k, v in blobs.items()}
+    return VLM(VLMConfig(**header), weights, frozen=True), tokenizer
+
+
+def _build_classes(cfg: ExperimentConfig, got: dict, records: dict):
+    learner, gate = train_class_embeddings(got["dataset"], cfg.embeddings, cfg.seed)
+    return learner, {"accuracy": gate["accuracy"], "rare_recall": gate["rare_recall"]}
+
+
+def _save_classes(path: Path, learner: ClassEmbeddingLearner) -> int:
+    table = learner.table_
+    crc = ckpt.save_classes(
+        path, {"kappa": table.kappa, "class_names": table.class_names},
+        {**learner.heads_.weights, "table.w": table.w},
+    )
+    write_csv(
+        path.with_name("classes_log.csv"),
+        ["epoch", "phase", "L_align", "L_class", "proto_acc"],
+        [[r["epoch"], r["phase"], r["align"], r["class"], r["proto_acc"]]
+         for r in learner.history_],
+    )
+    return crc
+
+
+def _load_classes(cfg: ExperimentConfig, path: Path, got: dict) -> ClassEmbeddingLearner:
+    header, blobs = ckpt.load_classes(path)
+    table_w = Tensor(blobs.pop("table.w"))
+    weights = {k: Tensor(v) for k, v in blobs.items()}
+    token = ckpt.weights_crc({**weights, "table.w": table_w})
+    heads = ProjectionHeads(weights, token)
+    learner = cfg.embeddings.learner(cfg.seed)
+    learner.heads_ = heads
+    learner.table_ = ClassEmbeddingTable(
+        table_w, header["class_names"], header["kappa"], pair_token=token
+    )
+    learner.history_ = []
+    return learner
+
+
+def _adapter_inputs(cfg: ExperimentConfig, got: dict) -> dict:
+    return {"adapter": asdict(cfg.adapter), "version": ckpt.VERSION,
+            "table": got["classes"].table_.pair_token, "vlm_crc": got["vlm"][0].checksum()}
+
+
+def _build_adapter(cfg: ExperimentConfig, got: dict, records: dict):
+    vlm, tokenizer = got["vlm"]
+    adapter = VisualTokenAdapter(**asdict(cfg.adapter), seed=cfg.seed)
+    adapter.fit(got["dataset"], got["classes"].table_, vlm, tokenizer)
+    return adapter, {"history": adapter.history_}
+
+
+def _save_adapter(path: Path, adapter: VisualTokenAdapter) -> int:
+    header = {"heads": adapter.heads, "table_crc": adapter.table_crc_}
+    return ckpt.save_adapter(path, header, adapter.params_)
+
+
+def _load_adapter(cfg: ExperimentConfig, path: Path, got: dict) -> VisualTokenAdapter:
+    header, blobs = ckpt.load_adapter(path, got["classes"].table_.pair_token)
+    adapter = VisualTokenAdapter(**asdict(cfg.adapter), seed=cfg.seed)
+    adapter.params_ = {k: Tensor(v) for k, v in blobs.items()}
+    adapter.table_crc_ = header["table_crc"]
+    adapter.history_ = []
+    return adapter
+
+
+def _build_eval(cfg: ExperimentConfig, got: dict, records: dict):
+    arts = _artifacts(got)
+    inf = cfg.inference
+    report = {
+        "modes": {
+            mode: evaluate(arts, mode, inf.k, inf.max_answer_len).to_dict()
+            for mode in ("baseline", inf.mode)
+        },
+        "params": report_params(arts),
+        "fixture_gate": records["vlm"]["gate"],
+    }
+    return report, {}
+
+
+def _save_report(path: Path, report: dict) -> None:
+    path.write_text(json.dumps(report, indent=1, sort_keys=True))
+
+
+PIPELINE = (
+    Stage("dataset", (), "dataset",
+          lambda cfg, got: {"dataset": asdict(cfg.dataset), "seed": cfg.seed},
+          _build_dataset,
+          lambda path, world: save_dataset(world, path),
+          lambda cfg, path, got: load_dataset(path)),
+    Stage("vlm", ("dataset",), "vlm.ckpt",
+          lambda cfg, got: {"fixture": asdict(cfg.fixture), "version": ckpt.VERSION},
+          _build_vlm, _save_vlm, _load_vlm),
+    Stage("classes", ("dataset",), "classes.ckpt",
+          lambda cfg, got: {"embeddings": asdict(cfg.embeddings), "version": ckpt.VERSION},
+          _build_classes, _save_classes, _load_classes),
+    Stage("adapter", ("vlm", "classes"), "adapter.ckpt",
+          _adapter_inputs, _build_adapter, _save_adapter, _load_adapter),
+    Stage("eval", ("adapter",), "report.json",
+          lambda cfg, got: {"inference": asdict(cfg.inference)},
+          _build_eval, _save_report,
+          lambda cfg, path, got: json.loads(path.read_text())),
+)
+STAGES = tuple(stage.name for stage in PIPELINE)
 
 
 def run_pipeline(
@@ -269,142 +328,59 @@ def run_pipeline(
     """Execute (or resume) stages through `until`; returns artifacts + report.
 
     A stage reruns when its recorded hash is missing or stale, its artifact
-    fails to load, or any upstream stage was re-executed this run.
+    is missing, or a direct upstream stage was re-executed this run. A
+    checkpoint whose stored footer differs from the recorded one, or that
+    fails its own CRC, raises PairingError or ChecksumError.
     """
     cfg.validate()
     if until not in STAGES:
         raise ConfigError(f"unknown stage {until!r}; expected one of {STAGES}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    meta = _Meta(out / "run_meta.json")
+    meta_path = out / "run_meta.json"
+    try:
+        records = json.loads(meta_path.read_text())["stages"]
+    except (FileNotFoundError, ValueError):
+        records = {}  # missing or torn: no stage is trusted, so every stage reruns
+    got: dict = {}
+    hashes: dict[str, str] = {}
     stages_run: list[str] = []
-
-    def stale(stage: str, expect_hash: str) -> bool:
-        rec = meta.get(stage)
-        return rec is None or rec.get("hash") != expect_hash
-
-    # Stage 1: dataset.
-    h_data = config_hash({"dataset": asdict(cfg.dataset), "seed": cfg.seed})
-    dataset_dir = out / "dataset"
-    world = None
-    if resume and not stale("dataset", h_data):
-        try:
-            world = load_dataset(dataset_dir)
-        except FileNotFoundError:
-            world = None
-    if world is None:
-        d = cfg.dataset
-        world = generate_dataset(
-            d.n_classes, d.grid, d.d_v, d.profile(), cfg.seed, d_t=d.d_t,
-            alpha=d.alpha, noise=d.noise, vision_identity=d.vision_identity,
-        )
-        save_dataset(world, dataset_dir)
-        meta.put("dataset", {"hash": h_data})
-        stages_run.append("dataset")
-    encoder = VisionEncoder.for_world(world)
-    if until == "dataset":
-        return Artifacts(world, encoder), None
-
-    # Stage 2: frozen decoder fixture.
-    h_vlm = config_hash({"fixture": asdict(cfg.fixture), "up": h_data})
-    vlm = tokenizer = None
-    if resume and "dataset" not in stages_run and not stale("vlm", h_vlm):
-        try:
-            vlm, tokenizer = load_vlm_artifact(out)
-        except FileNotFoundError:
-            vlm = None
-    if vlm is None:
-        vlm, tokenizer, fixture_log = pretrain_fixture(world, cfg.fixture, cfg.seed)
-        save_vlm_artifact(out, vlm, tokenizer)
-        meta.put("vlm", {"hash": h_vlm, "crc": ckpt.file_crc(out / "vlm.ckpt"),
-                         "weights_crc": vlm.checksum(),
-                         "gate": fixture_log["gate"],
-                         "epoch_losses": fixture_log["epoch_losses"]})
-        stages_run.append("vlm")
-    if until == "vlm":
-        return Artifacts(world, encoder, vlm, tokenizer), None
-
-    # Stage 3: class embeddings.
-    h_cls = config_hash({"embeddings": asdict(cfg.embeddings), "up": h_data})
-    learner = None
-    if resume and "dataset" not in stages_run and not stale("classes", h_cls):
-        try:
-            learner = load_learner_artifact(out)
-        except FileNotFoundError:
-            learner = None
-    if learner is None:
-        learner, gate_report = train_class_embeddings(world, cfg.embeddings, cfg.seed)
-        save_learner_artifact(out, learner)
-        write_csv(
-            out / "classes_log.csv",
-            ["epoch", "phase", "L_align", "L_class", "proto_acc"],
-            [[r["epoch"], r["phase"], r["align"], r["class"], r["proto_acc"]]
-             for r in learner.history_],
-        )
-        meta.put("classes", {
-            "hash": h_cls, "crc": ckpt.file_crc(out / "classes.ckpt"),
-            "accuracy": gate_report["accuracy"],
-            "rare_recall": gate_report["rare_recall"],
+    for stage in PIPELINE:
+        h = hashes[stage.name] = config_hash({
+            "inputs": stage.inputs(cfg, got), "up": [hashes[u] for u in stage.upstream],
         })
-        stages_run.append("classes")
-    if until == "classes":
-        return Artifacts(world, encoder, vlm, tokenizer, learner), None
+        path = out / stage.file
+        rec = records.get(stage.name)
+        product = None
+        if (resume and rec is not None and rec.get("hash") == h
+                and not set(stage.upstream) & set(stages_run)):
+            try:
+                if "crc" in rec and ckpt.footer_crc(path) != rec["crc"]:
+                    raise PairingError(
+                        f"{path}: stored CRC differs from the {rec['crc']} recorded "
+                        "for this run; the file comes from another run"
+                    )
+                product = stage.load(cfg, path, got)
+            except FileNotFoundError:
+                pass
+        if product is None:
+            product, record = stage.build(cfg, got, records)
+            crc = stage.save(path, product)
+            if crc is not None:
+                record["crc"] = crc
+            records[stage.name] = {"hash": h, **record}
+            meta_path.write_text(json.dumps({"stages": records}, indent=1, sort_keys=True))
+            stages_run.append(stage.name)
+        got[stage.name] = product
+        if stage.name == until:
+            break
 
-    # Stage 4: adapter.
-    upstream_ran = bool({"dataset", "vlm", "classes"} & set(stages_run))
-    h_adp = config_hash({
-        "adapter": asdict(cfg.adapter), "up": [h_vlm, h_cls],
-        "table": learner.table_.pair_token, "vlm_crc": vlm.checksum(),
-    })
-    adapter = None
-    if resume and not upstream_ran and not stale("adapter", h_adp):
-        try:
-            adapter = load_adapter_artifact(out, cfg.adapter, learner.table_.pair_token)
-        except FileNotFoundError:
-            adapter = None
-    if adapter is None:
-        a = cfg.adapter
-        adapter = VisualTokenAdapter(
-            heads=a.heads, epochs=a.epochs, lr=a.lr, weight_decay=a.weight_decay,
-            rec_weight=a.rec_weight, autoreg_weight=a.autoreg_weight,
-            supervise=a.supervise, per_class_cap=a.per_class_cap,
-            rare_boost=a.rare_boost, seed=cfg.seed,
-        )
-        adapter.fit(world, learner.table_, vlm, tokenizer)
-        save_adapter_artifact(out, adapter, vlm.config.dim)
-        meta.put("adapter", {"hash": h_adp, "crc": ckpt.file_crc(out / "adapter.ckpt"),
-                             "history": adapter.history_})
-        stages_run.append("adapter")
-
-    arts = Artifacts(world, encoder, vlm, tokenizer, learner, adapter)
-    if until == "adapter":
+    arts = _artifacts(got)
+    if until != "eval":
         return arts, None
-
-    # Stage 5: evaluation report.
-    h_eval = config_hash({"inference": asdict(cfg.inference), "up": h_adp})
-    report = None
-    if resume and not stages_run and not stale("eval", h_eval):
-        try:
-            report = json.loads((out / "report.json").read_text())
-        except FileNotFoundError:
-            report = None
-    if report is None:
-        inf = cfg.inference
-        rows = {
-            mode: evaluate(arts, mode, inf.k, inf.max_answer_len).to_dict()
-            for mode in ("baseline", cfg.inference.mode)
-        }
-        report = {
-            "modes": rows,
-            "params": report_params(arts),
-            "fixture_gate": meta.get("vlm").get("gate") if meta.get("vlm") else None,
-        }
-        (out / "report.json").write_text(json.dumps(report, indent=1, sort_keys=True))
-        meta.put("eval", {"hash": h_eval})
-        stages_run.append("eval")
-
     # Run bookkeeping stays out of the persisted report so resumed runs keep
     # byte-identical artifacts.
+    report = got["eval"]
     report["stages_run"] = stages_run
     return arts, report
 

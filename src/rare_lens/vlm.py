@@ -14,6 +14,7 @@ checksummed, and never updated again.
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from dataclasses import dataclass, field, replace
@@ -119,7 +120,6 @@ class VLMConfig:
     ffn_hidden: int = 512
     context: int = 256
     d_v: int = 32
-    tie_head: bool = True
 
     def __post_init__(self):
         if self.dim % self.heads:
@@ -138,24 +138,18 @@ class VLM:
         return weights_crc(self.head_synced_weights())
 
     def head_tensor(self) -> Tensor:
-        """The readout head; a live transpose of the embedding when tied."""
-        if self.config.tie_head:
-            return ad.transpose(self.weights["wte"])
-        return self.weights["head"]
+        """The readout head: a live transpose of the token embedding."""
+        return ad.transpose(self.weights["wte"])
 
     def head_array(self) -> np.ndarray:
         return self.head_tensor().array
 
     def head_synced_weights(self) -> dict[str, Tensor]:
-        """Weights with the derived head blob kept in sync for storage."""
-        out = dict(self.weights)
-        if self.config.tie_head:
-            out["head"] = Tensor(self.weights["wte"].array.T.copy())
-        return out
+        """Weights plus the derived head blob, which storage keeps."""
+        return {**self.weights, "head": Tensor(self.weights["wte"].array.T.copy())}
 
     def parameters(self) -> list[Tensor]:
-        return [t for name, t in self.weights.items()
-                if not (self.config.tie_head and name == "head")]
+        return list(self.weights.values())
 
     def freeze(self) -> "VLM":
         frozen = {k: Tensor(t.array, requires_grad=False) for k, t in self.weights.items()}
@@ -181,9 +175,6 @@ def init_vlm(config: VLMConfig, vocab_size: int, seed: int) -> VLM:
         weights[f"layer{i}.wo"] = mat(d, d, std=0.0)
         weights[f"layer{i}.w1"] = mat(d, h)
         weights[f"layer{i}.w2"] = mat(h, d, std=0.0)
-    if not config.tie_head:
-        # Untied variant: the head starts as the embedding transpose.
-        weights["head"] = Tensor(weights["wte"].array.T.copy(), requires_grad=True)
     return VLM(config, weights)
 
 
@@ -290,7 +281,6 @@ def generate(
 
 # <eos> sits at a fixed slot because specials lead the vocabulary.
 EOS_ID = Tokenizer.SPECIALS.index("<eos>")
-BOS_ID = Tokenizer.SPECIALS.index("<bos>")
 
 
 def build_prompt(tokenizer: Tokenizer, n_visual: int, prompt_text: str) -> TokenSequence:
@@ -432,7 +422,7 @@ def pretrain_fixture(
                 for j in batch:
                     feats, seq = sequences[j]
                     losses.append(sequence_nll(vlm, connector(vlm, feats), seq))
-                loss = ad.scale(_sum(losses), 1.0 / len(batch))
+                loss = ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
             optimizer.step(backward(loss, tape))
         guard.accept(eval_mean_nll())
         epoch_losses.append(guard.best)
@@ -458,13 +448,6 @@ def pretrain_fixture(
         )
     log = {"epoch_losses": epoch_losses, "gate": gate, "checksum": frozen.checksum()}
     return frozen, tokenizer, log
-
-
-def _sum(tensors: list[Tensor]) -> Tensor:
-    acc = tensors[0]
-    for t in tensors[1:]:
-        acc = ad.add(acc, t)
-    return acc
 
 
 # ---------------------------------------------------------------------------

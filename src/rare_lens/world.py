@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ConfigError, ContractError, DegenerateVectorError
+from .errors import ChecksumError, ConfigError, ContractError, DegenerateVectorError
 from .prompting import QUESTION_TEMPLATES
 
 SCENE_MAGIC = b"RLSC"
@@ -444,14 +444,19 @@ def write_scene(path, grid: np.ndarray) -> None:
 
 def read_scene(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != SCENE_MAGIC:
-            raise ContractError(f"bad scene magic {magic!r}")
-        version, g, d_v = struct.unpack("<HII", fh.read(10))
-        if version != SCENE_VERSION:
-            raise ContractError(f"unsupported scene version {version}")
-        data = np.frombuffer(fh.read(g * g * d_v * 4), dtype="<f4")
-    return data.astype(np.float64).reshape(g, g, d_v)
+        buf = fh.read()
+    if buf[:4] != SCENE_MAGIC:
+        raise ContractError(f"bad scene magic {buf[:4]!r}")
+    if len(buf) < 14:
+        raise ChecksumError(f"{path}: truncated scene header")
+    version, g, d_v = struct.unpack_from("<HII", buf, 4)
+    if version != SCENE_VERSION:
+        raise ContractError(f"unsupported scene version {version}")
+    if len(buf) - 14 != g * g * d_v * 4:
+        raise ChecksumError(
+            f"{path}: {len(buf) - 14} payload bytes, expected {g * g * d_v * 4}"
+        )
+    return np.frombuffer(buf, dtype="<f4", offset=14).astype(np.float64).reshape(g, g, d_v)
 
 
 def save_dataset(world: World, out_dir) -> None:

@@ -342,17 +342,12 @@ def test_criterion_9_determinism_and_formats(tmp_path):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes(), name
 
     # write -> read -> write byte equality for each checkpoint format
-    meta, blobs = load_vlm(run_a / "vlm.ckpt")
-    save_vlm(tmp_path / "v2.ckpt", *meta, {k: Tensor(v) for k, v in blobs.items()})
-    assert (tmp_path / "v2.ckpt").read_bytes() == (run_a / "vlm.ckpt").read_bytes()
-    (n, dim, d_v, d_t, kappa), blobs, names = load_classes(run_a / "classes.ckpt")
-    save_classes(tmp_path / "c2.ckpt", n, dim, d_v, d_t, kappa,
-                 {k: Tensor(v) for k, v in blobs.items()}, names)
-    assert (tmp_path / "c2.ckpt").read_bytes() == (run_a / "classes.ckpt").read_bytes()
-    (dim, heads), blobs, crc = load_adapter(run_a / "adapter.ckpt")
-    save_adapter(tmp_path / "a2.ckpt", dim, heads,
-                 {k: Tensor(v) for k, v in blobs.items()}, crc)
-    assert (tmp_path / "a2.ckpt").read_bytes() == (run_a / "adapter.ckpt").read_bytes()
+    for name, load, save in (("vlm", load_vlm, save_vlm),
+                             ("classes", load_classes, save_classes),
+                             ("adapter", load_adapter, save_adapter)):
+        header, blobs = load(run_a / f"{name}.ckpt")
+        save(tmp_path / f"{name}2.ckpt", header, {k: Tensor(v) for k, v in blobs.items()})
+        assert (tmp_path / f"{name}2.ckpt").read_bytes() == (run_a / f"{name}.ckpt").read_bytes()
 
     # CRC corruption must surface as exit code 4 through the CLI.
     corrupted = tmp_path / "corrupted"

@@ -1,4 +1,4 @@
-"""Checkpoint formats: round trips, CRC rejection, pairing enforcement."""
+"""Checkpoint container: round trips, CRC rejection, pairing enforcement."""
 
 import numpy as np
 import pytest
@@ -21,9 +21,11 @@ def weights(n=3):
 def test_vlm_checkpoint_round_trip(tmp_path):
     path = tmp_path / "vlm.ckpt"
     w = weights()
-    ckpt.save_vlm(path, 4, 4, 64, 40, w)
-    (layers, heads, dim, vocab), blobs = ckpt.load_vlm(path)
-    assert (layers, heads, dim, vocab) == (4, 4, 64, 40)
+    header = {"layers": 4, "heads": 4, "dim": 64, "vocab": 40}
+    footer = ckpt.save_vlm(path, header, w)
+    loaded, blobs = ckpt.load_vlm(path)
+    assert loaded == header
+    assert footer == ckpt.footer_crc(path) == int.from_bytes(path.read_bytes()[-4:], "little")
     for name, t in w.items():
         assert np.array_equal(blobs[name], t.array)
 
@@ -31,15 +33,15 @@ def test_vlm_checkpoint_round_trip(tmp_path):
 def test_write_read_write_is_byte_identical(tmp_path):
     w = weights()
     p1, p2 = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
-    ckpt.save_vlm(p1, 1, 2, 8, 9, w)
-    (meta), blobs = ckpt.load_vlm(p1)
-    ckpt.save_vlm(p2, *meta, {k: Tensor(v) for k, v in blobs.items()})
+    ckpt.save_vlm(p1, {"layers": 1, "heads": 2, "dim": 8, "vocab": 9}, w)
+    header, blobs = ckpt.load_vlm(p1)
+    ckpt.save_vlm(p2, header, {k: Tensor(v) for k, v in blobs.items()})
     assert p1.read_bytes() == p2.read_bytes()
 
 
 def test_corrupted_byte_rejected(tmp_path):
     path = tmp_path / "vlm.ckpt"
-    ckpt.save_vlm(path, 1, 1, 8, 9, weights())
+    ckpt.save_vlm(path, {"vocab": 9}, weights())
     raw = bytearray(path.read_bytes())
     raw[30] ^= 0xFF
     path.write_bytes(bytes(raw))
@@ -57,20 +59,20 @@ def test_bad_magic_rejected(tmp_path):
 def test_classes_checkpoint_round_trip_with_kappa_and_names(tmp_path):
     path = tmp_path / "classes.ckpt"
     w = weights(2)
-    ckpt.save_classes(path, 5, 16, 8, 8, 0.95, w, ["ant", "bee", "cat", "dog", "eel"])
-    (n, dim, d_v, d_t, kappa), blobs, names = ckpt.load_classes(path)
-    assert (n, dim, d_v, d_t) == (5, 16, 8, 8)
-    assert kappa == 0.95  # stored as f64, survives exactly
-    assert names == ["ant", "bee", "cat", "dog", "eel"]
+    names = ["ant", "bee", "cat", "dog", "eel"]
+    ckpt.save_classes(path, {"kappa": 0.95, "class_names": names}, w)
+    header, blobs = ckpt.load_classes(path)
+    assert header["kappa"] == 0.95  # JSON floats round-trip exactly
+    assert header["class_names"] == names
     for name, t in w.items():
         assert np.array_equal(blobs[name], t.array)
 
 
 def test_adapter_checkpoint_pairing(tmp_path):
     path = tmp_path / "adapter.ckpt"
-    ckpt.save_adapter(path, 16, 4, weights(1), table_crc=1234)
-    (dim, heads), _, crc = ckpt.load_adapter(path, expect_table_crc=1234)
-    assert (dim, heads, crc) == (16, 4, 1234)
+    ckpt.save_adapter(path, {"heads": 4, "table_crc": 1234}, weights(1))
+    header, _ = ckpt.load_adapter(path, expect_table_crc=1234)
+    assert header == {"heads": 4, "table_crc": 1234}
     with pytest.raises(PairingError):
         ckpt.load_adapter(path, expect_table_crc=999)
 
@@ -94,7 +96,7 @@ def test_round_f32_idempotent():
 
 def test_truncated_file_rejected(tmp_path):
     path = tmp_path / "vlm.ckpt"
-    ckpt.save_vlm(path, 1, 1, 8, 9, weights())
+    ckpt.save_vlm(path, {"vocab": 9}, weights())
     path.write_bytes(path.read_bytes()[:-2])
     with pytest.raises(ChecksumError):
         ckpt.load_vlm(path)

@@ -1,11 +1,13 @@
 """Strict config schema: defaults, rejection of unknown keys, round trips."""
 
+import dataclasses
 import json
 
 import pytest
 
+from rare_lens.adapter import VisualTokenAdapter
 from rare_lens.config import (
-    PAPER_SCALE,
+    AdapterConfig,
     ExperimentConfig,
     config_from_dict,
     config_hash,
@@ -13,6 +15,7 @@ from rare_lens.config import (
     load_config,
     save_config,
 )
+from rare_lens.embeddings import ClassEmbeddingLearner, EmbeddingConfig
 from rare_lens.errors import ConfigError
 
 
@@ -25,10 +28,6 @@ def test_defaults_follow_documented_operating_point():
     assert cfg.embeddings.epochs_align + cfg.embeddings.epochs_joint == 20
     assert cfg.adapter.epochs == 10
     assert cfg.dataset.n_classes == 12 and cfg.dataset.rare_count == 4
-
-
-def test_paper_scale_preset_recorded():
-    assert PAPER_SCALE["heads"] == 8 and PAPER_SCALE["dim"] == 1024
 
 
 def test_unknown_top_level_key_rejected():
@@ -92,3 +91,13 @@ def test_adapter_heads_must_divide_decoder_dim():
 def test_distractor_pool_validated():
     with pytest.raises(ConfigError, match="distractor_pool"):
         config_from_dict({"fixture": {"distractor_pool": "spicy"}})
+
+
+def test_estimator_parameters_all_come_from_config():
+    # A hyperparameter added to an estimator but not to its config would
+    # silently keep its default in the pipeline.
+    adapter_fields = [f.name for f in dataclasses.fields(AdapterConfig)]
+    assert adapter_fields == [n for n in VisualTokenAdapter._param_names() if n != "seed"]
+    embedding_fields = {f.name for f in dataclasses.fields(EmbeddingConfig)}
+    learner_params = set(ClassEmbeddingLearner._param_names()) - {"seed"}
+    assert learner_params <= embedding_fields

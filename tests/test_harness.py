@@ -1,11 +1,12 @@
 """Pipeline staging, resume identity, reports, probes, CLI exit codes."""
 
 import json
+import shutil
 
 import numpy as np
 import pytest
 
-from rare_lens import cli
+from rare_lens import ckpt, cli
 from rare_lens.config import config_from_dict
 from rare_lens.harness import ablation_sweep, evaluate, probe_report, report_params, run_pipeline
 from rare_lens.vis import quantize, read_csv_matrix, read_pgm
@@ -69,7 +70,7 @@ def test_report_params_formula_and_blob_sizes(pipeline_run):
     assert counts["adapter"] == 4 * dim * dim
     from rare_lens import ckpt
 
-    _, blobs, _ = ckpt.load_adapter(out / "adapter.ckpt")
+    _, blobs = ckpt.load_adapter(out / "adapter.ckpt")
     assert sum(b.size for b in blobs.values()) == counts["adapter"]
     vlm_blob_total = sum(b.size for b in ckpt.load_vlm(out / "vlm.ckpt")[1].values())
     assert vlm_blob_total == counts["vlm"]
@@ -190,6 +191,64 @@ def test_cli_exit_codes(tmp_path, pipeline_run):
     shutil.copytree(out, corrupted)
     (corrupted / "classes.ckpt").write_bytes(bytes(raw))
     assert cli.main(["eval", "--config", str(cfg_path), "--out", str(corrupted)]) == 4
+
+
+def test_cli_foreign_classes_checkpoint_exits_4(tmp_path, pipeline_run):
+    # A valid classes.ckpt from a run with another embeddings.lr passes its
+    # own CRC; only the footer recorded in run_meta.json tells it apart.
+    out, _, _ = pipeline_run
+    other = tmp_path / "other"
+    shutil.copytree(out, other)
+    doc = json.loads(json.dumps(MINI_DOC))
+    doc["embeddings"]["lr"] = 2e-3
+    run_pipeline(config_from_dict(doc), other, until="classes")
+    mixed = tmp_path / "mixed"
+    shutil.copytree(out, mixed)
+    shutil.copy(other / "classes.ckpt", mixed / "classes.ckpt")
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(mixed)]) == 4
+
+
+def test_cli_torn_run_meta_reruns_every_stage(tmp_path, pipeline_run, monkeypatch):
+    out, _, _ = pipeline_run
+    torn = tmp_path / "torn"
+    shutil.copytree(out, torn)
+    meta = torn / "run_meta.json"
+    meta.write_bytes(meta.read_bytes()[: meta.stat().st_size // 2])
+    reports = []
+
+    def spy(*args, **kwargs):
+        arts, report = run_pipeline(*args, **kwargs)
+        reports.append(report)
+        return arts, report
+
+    monkeypatch.setattr(cli, "run_pipeline", spy)
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(torn)]) == 0
+    assert reports[0]["stages_run"] == ["dataset", "vlm", "classes", "adapter", "eval"]
+    assert (torn / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
+def test_cli_truncated_scene_exits_4(tmp_path, pipeline_run):
+    out, _, _ = pipeline_run
+    cut = tmp_path / "cut"
+    shutil.copytree(out, cut)
+    scene = sorted((cut / "dataset" / "scenes").glob("*.bin"))[0]
+    scene.write_bytes(scene.read_bytes()[:-7])
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(cut)]) == 4
+
+
+def test_checkpoint_version_change_reruns_checkpoint_stages(tmp_path, pipeline_run, monkeypatch):
+    out, _, _ = pipeline_run
+    old = tmp_path / "old"
+    shutil.copytree(out, old)
+    monkeypatch.setattr(ckpt, "VERSION", ckpt.VERSION + 1)
+    _, report = run_pipeline(mini_config(), old)
+    assert report["stages_run"] == ["vlm", "classes", "adapter", "eval"]
 
 
 def test_cli_detect_emits_jsonl(tmp_path, pipeline_run, capsys):

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rare_lens import world as w
-from rare_lens.errors import ConfigError, ContractError
+from rare_lens.errors import ChecksumError, ConfigError, ContractError
 
 SMALL = w.ImbalanceProfile(rare_count=0, rare_n=5, common_n=100, test_per_class=5)
 IMBALANCED = w.ImbalanceProfile(rare_count=2, rare_n=5, common_n=100, test_per_class=5)
@@ -213,6 +213,14 @@ def test_scene_file_round_trip(tmp_path, tiny_world):
     path = tmp_path / "scene.bin"
     w.write_scene(path, tiny_world.grid(sid))
     assert np.array_equal(w.read_scene(path), tiny_world.grid(sid))
+
+
+def test_truncated_scene_file_rejected(tmp_path, tiny_world):
+    path = tmp_path / "scene.bin"
+    w.write_scene(path, tiny_world.grid(tiny_world.manifest.train_ids[0]))
+    path.write_bytes(path.read_bytes()[:-7])
+    with pytest.raises(ChecksumError, match="payload bytes"):
+        w.read_scene(path)
 
 
 def test_dataset_save_load_round_trip(tmp_path, imbalanced_world):
