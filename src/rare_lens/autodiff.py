@@ -5,7 +5,8 @@ pure function that optionally records a vector-Jacobian-product closure on the
 innermost active GradTape. With no tape active, operations are plain numpy
 calls. Gradients never live on tensors: `backward` returns a map from tensor
 id to gradient array, so finished parameter sets can be shared freely across
-threads.
+threads. The stack of active tapes is a context variable, so each thread
+(and each asyncio task) records only onto the tapes it opened itself.
 
 Design choices: 64-bit floats everywhere (finite-difference checks need the
 headroom), 2-d is the largest supported rank, and tensors without
@@ -15,7 +16,9 @@ property rather than a runtime check.
 
 from __future__ import annotations
 
+import functools
 import itertools
+from contextvars import ContextVar
 from typing import Callable, Sequence
 
 import numpy as np
@@ -24,8 +27,9 @@ from .errors import ContractError, DegenerateVectorError, ShapeError
 
 _ids = itertools.count()
 
-# Innermost-last stack of active tapes.
-_TAPE_STACK: list["GradTape"] = []
+# Innermost-last stack of the tapes active in the current context; a tuple,
+# so a new thread's empty default is never shared.
+_TAPE_STACK: ContextVar[tuple["GradTape", ...]] = ContextVar("tape_stack", default=())
 
 
 class Tensor:
@@ -93,20 +97,21 @@ class GradTape:
         self.entries: list[tuple[int, tuple[int, ...], tuple]] = []
 
     def __enter__(self) -> "GradTape":
-        _TAPE_STACK.append(self)
+        self._token = _TAPE_STACK.set(_TAPE_STACK.get() + (self,))
         return self
 
     def __exit__(self, exc_type, exc, tb) -> None:
-        popped = _TAPE_STACK.pop()
-        assert popped is self, "GradTape scopes must nest"
+        assert _TAPE_STACK.get()[-1] is self, "GradTape scopes must nest"
+        _TAPE_STACK.reset(self._token)
 
 
 def _record(out: Tensor, inputs: Sequence[Tensor], vjps: Sequence) -> Tensor:
-    if _TAPE_STACK:
+    stack = _TAPE_STACK.get()
+    if stack:
         keep = tuple(v if t.requires_grad else None for t, v in zip(inputs, vjps))
         if any(v is not None for v in keep):
             out.requires_grad = True
-            _TAPE_STACK[-1].entries.append((out.id, tuple(t.id for t in inputs), keep))
+            stack[-1].entries.append((out.id, tuple(t.id for t in inputs), keep))
     return out
 
 
@@ -374,6 +379,14 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
     return _record(out, (a, b), (vjp_a, vjp_b))
 
 
+@functools.lru_cache(maxsize=256)
+def _causal_mask(n: int, m: int) -> np.ndarray:
+    """Additive [n, m] mask: query row i sits at key position m - n + i."""
+    mask = np.triu(np.full((n, m), -np.inf), k=m - n + 1)
+    mask.flags.writeable = False
+    return mask
+
+
 def multihead_attention(
     q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool
 ) -> tuple[Tensor, np.ndarray]:
@@ -381,8 +394,9 @@ def multihead_attention(
 
     q is [n, d]; k and v are [m, d]; the result is [n, d] plus the attention
     weights [n_heads, n, m] (plain array, for probing). Scale is
-    1/sqrt(d / n_heads). With causal=True (requires n == m) position i only
-    attends to positions <= i; rows always sum to 1.
+    1/sqrt(d / n_heads). With causal=True (requires n <= m) the n queries are
+    the last n of the m key positions and each attends to the keys at or
+    before its own position; rows always sum to 1.
     """
     n, d = q.shape
     m = k.shape[0]
@@ -390,8 +404,8 @@ def multihead_attention(
         raise ShapeError(f"head count {n_heads} must divide width {d}")
     if k.shape[1] != d or v.shape != k.shape:
         raise ShapeError(f"attention shapes differ: q {q.shape}, k {k.shape}, v {v.shape}")
-    if causal and n != m:
-        raise ShapeError("causal attention needs matching sequence lengths")
+    if causal and n > m:
+        raise ShapeError(f"causal attention needs no more queries than keys, got {n} > {m}")
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
     # [heads, len, dh] views; batched matmul beats einsum at these sizes.
@@ -400,7 +414,7 @@ def multihead_attention(
     vh = v.array.reshape(m, n_heads, dh).transpose(1, 0, 2)
     scores = (qh @ kh.transpose(0, 2, 1)) * scale
     if causal:
-        scores = scores + np.triu(np.full((n, n), -np.inf), k=1)[None, :, :]
+        scores = scores + _causal_mask(n, m)
     z = np.exp(scores - scores.max(axis=2, keepdims=True))
     weights = z / z.sum(axis=2, keepdims=True)
     out = _out((weights @ vh).transpose(1, 0, 2).reshape(n, d))

@@ -30,7 +30,7 @@ from .embeddings import (
     train_class_embeddings,
 )
 from .errors import ConfigError, GateError, PairingError
-from .hinting import MODES, detect_and_answer
+from .hinting import MODES, SceneContext, detect_and_answer
 from .vlm import (
     VLM,
     Tokenizer,
@@ -95,25 +95,46 @@ class EvalReport:
 
 def evaluate(arts: Artifacts, mode: str, k: int, max_len: int = 3) -> EvalReport:
     """Run one inference arm over the test split, sorted by scene id."""
+    return _evaluate_arms(arts, [(mode, k)], max_len)[0]
+
+
+def _evaluate_arms(
+    arts: Artifacts, arms: list[tuple[str, int]], max_len: int
+) -> list[EvalReport]:
+    """Run (mode, k) arms over the test split, scene by scene in id order.
+
+    The arms of a scene share one SceneContext, so its score map, visual
+    tokens and prompt-prefix K/V are computed once; each answer is still one
+    detect_and_answer call.
+    """
     m = arts.world.manifest
     name_ids = {arts.tokenizer.index[n]: n for n in m.names}
-    per_class_hits: dict[int, list[bool]] = {c: [] for c in range(m.n_classes)}
-    detect_hits: list[bool] = []
-    aligned: list[bool] = []
+    # Per arm, one (class id, correct, detected, hint-aligned or None) per scene.
+    rows: list[list[tuple]] = [[] for _ in arms]
     for meta in sorted(arts.world.scenes("test"), key=lambda s: s.scene_id):
-        out = detect_and_answer(
-            meta, arts.world.grid(meta.scene_id), arts.encoder, arts.learner,
-            arts.adapter, arts.vlm, arts.tokenizer, k=k, mode=mode, max_len=max_len,
-        )
-        per_class_hits[meta.class_id].append(out.correct)
-        detect_hits.append(meta.class_id in out.detection.class_ids)
-        if mode in ("hints-only", "all-classes-hints", "full"):
-            hinted = (
-                out.detection.names if mode != "all-classes-hints" else m.names
+        grid = arts.world.grid(meta.scene_id)
+        scene = SceneContext(meta.scene_id)
+        for (mode, k), arm_rows in zip(arms, rows):
+            out = detect_and_answer(
+                meta, grid, arts.encoder, arts.learner, arts.adapter, arts.vlm,
+                arts.tokenizer, k=k, mode=mode, max_len=max_len, scene=scene,
             )
-            answered = {name_ids[t] for t in out.generated if t in name_ids}
-            aligned.append(bool(answered & set(hinted)))
+            aligned = None
+            if mode in ("hints-only", "all-classes-hints", "full"):
+                hinted = out.detection.names if mode != "all-classes-hints" else m.names
+                answered = {name_ids[t] for t in out.generated if t in name_ids}
+                aligned = bool(answered & set(hinted))
+            arm_rows.append(
+                (meta.class_id, out.correct, meta.class_id in out.detection.class_ids, aligned)
+            )
+    return [_report(mode, k, arm_rows, m) for (mode, k), arm_rows in zip(arms, rows)]
 
+
+def _report(mode: str, k: int, rows: list[tuple], m) -> EvalReport:
+    per_class_hits: dict[int, list[bool]] = {c: [] for c in range(m.n_classes)}
+    for class_id, correct, _, _ in rows:
+        per_class_hits[class_id].append(correct)
+    aligned = [a for _, _, _, a in rows if a is not None]
     per_class = {c: float(np.mean(h)) if h else 0.0 for c, h in per_class_hits.items()}
     counts = {c: len(h) for c, h in per_class_hits.items()}
     rare = [per_class[c] for c in m.rare_ids]
@@ -128,7 +149,7 @@ def evaluate(arts: Artifacts, mode: str, k: int, max_len: int = 3) -> EvalReport
         per_class_counts=counts,
         rare_accuracy=float(np.mean(rare)) if rare else None,
         common_accuracy=float(np.mean(common)) if common else None,
-        detection_accuracy=float(np.mean(detect_hits)),
+        detection_accuracy=float(np.mean([detected for _, _, detected, _ in rows])),
         trust_rate=float(np.mean(aligned)) if aligned else None,
     )
 
@@ -361,7 +382,9 @@ def run_pipeline(
                         "for this run; the file comes from another run"
                     )
                 product = stage.load(cfg, path, got)
-            except FileNotFoundError:
+            except (FileNotFoundError, json.JSONDecodeError):
+                # Missing or torn: rebuild. Only the JSON error class, because
+                # ContractError and ConfigError are ValueErrors too.
                 pass
         if product is None:
             product, record = stage.build(cfg, got, records)
@@ -397,12 +420,16 @@ def ablation_sweep(
     out_dir=None,
     max_len: int = 3,
 ) -> dict:
-    """All ablation arms at the configured k, plus a k-sweep of hint injection."""
-    arms = {mode: evaluate(arts, mode, k, max_len) for mode in MODES}
-    sweep_rows = []
-    for kk in ks:
-        rep = evaluate(arts, "hints-only", kk, max_len)
-        sweep_rows.append(rep)
+    """All ablation arms at the configured k, plus a k-sweep of hint injection.
+
+    Every arm answers a scene before the loop moves to the next scene, so the
+    arms share each scene's context (see SceneContext).
+    """
+    reports = _evaluate_arms(
+        arts, [(mode, k) for mode in MODES] + [("hints-only", kk) for kk in ks], max_len
+    )
+    arms = dict(zip(MODES, reports))
+    sweep_rows = reports[len(MODES):]
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -186,24 +186,40 @@ def connector(vlm: VLM, features: Tensor | np.ndarray) -> Tensor:
     return ad.matmul(u, vlm.weights["connector"])
 
 
+# Per-layer (keys, values), each [positions run so far, dim].
+KVCache = list[tuple[Tensor, Tensor]]
+
+
 @dataclass
 class ForwardResult:
     logits: Tensor  # [n, vocab]
     hiddens: list[Tensor]  # length layers+1; hiddens[0] is the embedded input
-    attentions: list[np.ndarray]  # per layer [heads, n, n]
+    attentions: list[np.ndarray]  # per layer [heads, n, past + n]
     n_visual: int
+    kv: KVCache  # past plus this call's rows; pass it back as `past` to continue
 
 
-def forward(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> ForwardResult:
-    """Full teacher-forced pass; strictly causal; keeps hiddens and attention."""
+def forward(
+    vlm: VLM, visual: Tensor | None, seq: TokenSequence, past: KVCache | None = None
+) -> ForwardResult:
+    """Teacher-forced pass; strictly causal; keeps hiddens and attention.
+
+    With `past` (the `kv` of an earlier result), seq holds only the positions
+    that follow it, visual must be None, and only seq's rows are computed;
+    they match the same rows of one forward over the whole sequence up to
+    float rounding.
+    """
     cfg = vlm.config
     w = vlm.weights
     m = 0 if visual is None else visual.shape[0]
     if m != seq.n_visual:
         raise ContractError(f"sequence declares {seq.n_visual} visual positions, got {m}")
+    start = 0 if past is None else past[0][0].shape[0]
+    if past is not None and m:
+        raise ContractError("a continuation after a K/V cache takes no visual block")
     n = len(seq.ids)
-    if n > cfg.context:
-        raise ContractError(f"sequence length {n} exceeds context {cfg.context}")
+    if start + n > cfg.context:
+        raise ContractError(f"sequence length {start + n} exceeds context {cfg.context}")
     if n == 0:
         raise ContractError("empty sequence")
 
@@ -212,24 +228,29 @@ def forward(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> ForwardResul
         x = ad.concat_rows([visual, text])
     else:
         x = visual if visual is not None else text
-    x = ad.add(x, ad.gather_rows(w["wpe"], list(range(n))))
+    x = ad.add(x, ad.gather_rows(w["wpe"], list(range(start, start + n))))
 
     hiddens = [x]
     attentions: list[np.ndarray] = []
+    kv: KVCache = []
     for i in range(cfg.layers):
         hnorm = ad.rmsnorm_rows(x)
         q = ad.matmul(hnorm, w[f"layer{i}.wq"])
         k = ad.matmul(hnorm, w[f"layer{i}.wk"])
         v = ad.matmul(hnorm, w[f"layer{i}.wv"])
+        if past is not None:
+            k = ad.concat_rows([past[i][0], k])
+            v = ad.concat_rows([past[i][1], v])
         attn_out, attn_w = ad.multihead_attention(q, k, v, cfg.heads, causal=True)
         x = ad.add(x, ad.matmul(attn_out, w[f"layer{i}.wo"]))
         fnorm = ad.rmsnorm_rows(x)
         x = ad.add(x, ad.matmul(ad.gelu(ad.matmul(fnorm, w[f"layer{i}.w1"])), w[f"layer{i}.w2"]))
         hiddens.append(x)
         attentions.append(attn_w)
+        kv.append((k, v))
 
     logits = ad.matmul(x, vlm.head_tensor())
-    return ForwardResult(logits, hiddens, attentions, m)
+    return ForwardResult(logits, hiddens, attentions, m, kv)
 
 
 def sequence_nll(
@@ -256,26 +277,34 @@ def sequence_nll(
 
 
 def generate(
-    vlm: VLM, visual: Tensor | None, prompt: TokenSequence, max_len: int
+    vlm: VLM,
+    visual: Tensor | None,
+    prompt: TokenSequence,
+    max_len: int,
+    past: KVCache | None = None,
 ) -> list[int]:
     """Greedy decoding; ties break to the lowest token id; stops at <eos>.
 
+    Prefills the prompt once, then runs one row per generated token on the
+    K/V cache. With `past`, the K/V of the prompt's leading positions
+    (visual block included) are given, visual is None, and only the rest of
+    the prompt is prefilled; at least one prompt position must remain.
     Returns the generated ids (with the closing <eos> when emitted).
     """
     if not prompt.text_ids:
         raise ContractError("prompt must be nonempty")
-    ids = list(prompt.ids)
-    roles = list(prompt.roles)
+    start = 0 if past is None else past[0][0].shape[0]
+    if start >= len(prompt.ids):
+        raise ContractError("a K/V cache must leave at least one prompt position to run")
+    seq = TokenSequence(prompt.ids[start:], prompt.roles[start:])
     out: list[int] = []
     for _ in range(max_len):
-        seq = TokenSequence(ids, roles)
-        logits = forward(vlm, visual, seq).logits.array[-1]
-        token = int(np.argmax(logits))  # argmax takes the first (lowest id) max
+        result = forward(vlm, visual, seq, past=past)
+        token = int(np.argmax(result.logits.array[-1]))  # first (lowest id) max
         out.append(token)
-        ids.append(token)
-        roles.append(Role.ANSWER)
         if token == EOS_ID:
             break
+        visual, seq, past = None, TokenSequence([token], [Role.ANSWER]), result.kv
     return out
 
 

@@ -446,7 +446,7 @@ def read_scene(path) -> np.ndarray:
     with open(path, "rb") as fh:
         buf = fh.read()
     if buf[:4] != SCENE_MAGIC:
-        raise ContractError(f"bad scene magic {buf[:4]!r}")
+        raise ChecksumError(f"{path}: bad scene magic {buf[:4]!r}")
     if len(buf) < 14:
         raise ChecksumError(f"{path}: truncated scene header")
     version, g, d_v = struct.unpack_from("<HII", buf, 4)

@@ -1,5 +1,7 @@
 """Numerics: op semantics, tape gradients vs finite differences, invariants."""
 
+import threading
+
 import mpmath
 import numpy as np
 import pytest
@@ -214,6 +216,92 @@ def test_multihead_attention_gradients(causal):
         return ad.mean_all(ad.mul(out, c))
 
     assert grad_check(f, [q, k, v], eps=1e-5) < 1e-4
+
+
+def test_causal_attention_over_a_longer_key_block_gradients():
+    rng = np.random.default_rng(7)
+    q = Tensor(rng.normal(size=(2, 6)), requires_grad=True)
+    k = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    v = Tensor(rng.normal(size=(5, 6)), requires_grad=True)
+    c = Tensor(rng.normal(size=(2, 6)))
+
+    def f(params):
+        out, _ = ad.multihead_attention(params[0], params[1], params[2], 2, causal=True)
+        return ad.mean_all(ad.mul(out, c))
+
+    assert grad_check(f, [q, k, v], eps=1e-5) < 1e-4
+
+
+def test_causal_attention_queries_are_the_last_rows_of_full_attention():
+    rng = np.random.default_rng(8)
+    q, k, v = (Tensor(rng.normal(size=(5, 6))) for _ in range(3))
+    full, full_w = ad.multihead_attention(q, k, v, n_heads=2, causal=True)
+    for n in (1, 2, 5):
+        tail, tail_w = ad.multihead_attention(Tensor(q.array[-n:]), k, v, 2, causal=True)
+        assert np.abs(tail.array - full.array[-n:]).max() < 1e-12
+        assert np.abs(tail_w - full_w[:, -n:]).max() < 1e-12
+    mask = ad._causal_mask(2, 5)
+    assert mask is ad._causal_mask(2, 5) and not mask.flags.writeable
+    with pytest.raises(ShapeError):
+        ad.multihead_attention(q, Tensor(k.array[:3]), Tensor(v.array[:3]), 2, causal=True)
+
+
+def _serial_gradient(x0: np.ndarray, w0: np.ndarray) -> dict:
+    x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
+    with GradTape() as tape:
+        loss = ad.sum_all(ad.gelu(ad.matmul(x, w)))
+    grads = backward(loss, tape)
+    return {"x": grads[x.id], "w": grads[w.id]}
+
+
+def test_each_thread_records_on_its_own_tapes():
+    inputs = [(RNG.normal(size=(3, 4)), RNG.normal(size=(4, 2))) for _ in range(4)]
+    expected = [_serial_gradient(*pair) for pair in inputs]
+    barrier = threading.Barrier(len(inputs))
+    results: list = [None] * len(inputs)
+
+    def work(i):
+        x, w = (Tensor(a, requires_grad=True) for a in inputs[i])
+        with GradTape() as tape:
+            barrier.wait()  # every thread holds an open tape at once
+            loss = ad.sum_all(ad.gelu(ad.matmul(x, w)))
+            barrier.wait()
+        grads = backward(loss, tape)
+        results[i] = {"x": grads[x.id], "w": grads[w.id]}
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(len(inputs))]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    for got, want in zip(results, expected):
+        assert np.array_equal(got["x"], want["x"]) and np.array_equal(got["w"], want["w"])
+
+
+def test_inference_in_another_thread_leaves_an_open_tape_alone():
+    trainable = Tensor(RNG.normal(size=(3, 3)), requires_grad=True)
+    opened, inferred = threading.Event(), threading.Event()
+    recorded = []
+
+    def train():
+        with GradTape() as tape:
+            ad.sum_all(ad.matmul(trainable, trainable))
+            before = len(tape.entries)
+            opened.set()
+            inferred.wait()
+            recorded.append(len(tape.entries) - before)
+
+    def infer():
+        opened.wait()
+        ad.softmax_rows(ad.matmul(trainable, trainable))  # a fitted, grad-flagged param
+        inferred.set()
+
+    threads = [threading.Thread(target=train), threading.Thread(target=infer)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join()
+    assert recorded == [0]
 
 
 def test_operations_are_deterministic():

@@ -210,12 +210,7 @@ def test_cli_foreign_classes_checkpoint_exits_4(tmp_path, pipeline_run):
     assert cli.main(["eval", "--config", str(cfg_path), "--out", str(mixed)]) == 4
 
 
-def test_cli_torn_run_meta_reruns_every_stage(tmp_path, pipeline_run, monkeypatch):
-    out, _, _ = pipeline_run
-    torn = tmp_path / "torn"
-    shutil.copytree(out, torn)
-    meta = torn / "run_meta.json"
-    meta.write_bytes(meta.read_bytes()[: meta.stat().st_size // 2])
+def _spy_reports(monkeypatch) -> list:
     reports = []
 
     def spy(*args, **kwargs):
@@ -224,6 +219,16 @@ def test_cli_torn_run_meta_reruns_every_stage(tmp_path, pipeline_run, monkeypatc
         return arts, report
 
     monkeypatch.setattr(cli, "run_pipeline", spy)
+    return reports
+
+
+def test_cli_torn_run_meta_reruns_every_stage(tmp_path, pipeline_run, monkeypatch):
+    out, _, _ = pipeline_run
+    torn = tmp_path / "torn"
+    shutil.copytree(out, torn)
+    meta = torn / "run_meta.json"
+    meta.write_bytes(meta.read_bytes()[: meta.stat().st_size // 2])
+    reports = _spy_reports(monkeypatch)
     cfg_path = tmp_path / "mini.json"
     cfg_path.write_text(json.dumps(MINI_DOC))
     assert cli.main(["eval", "--config", str(cfg_path), "--out", str(torn)]) == 0
@@ -240,6 +245,71 @@ def test_cli_truncated_scene_exits_4(tmp_path, pipeline_run):
     cfg_path = tmp_path / "mini.json"
     cfg_path.write_text(json.dumps(MINI_DOC))
     assert cli.main(["eval", "--config", str(cfg_path), "--out", str(cut)]) == 4
+
+
+def test_cli_scene_with_a_cut_magic_exits_4(tmp_path, pipeline_run):
+    out, _, _ = pipeline_run
+    cut = tmp_path / "cut"
+    shutil.copytree(out, cut)
+    scene = sorted((cut / "dataset" / "scenes").glob("*.bin"))[0]
+    scene.write_bytes(scene.read_bytes()[:2])
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(cut)]) == 4
+
+
+def test_cli_torn_report_reruns_eval(tmp_path, pipeline_run, monkeypatch):
+    out, _, _ = pipeline_run
+    torn = tmp_path / "torn"
+    shutil.copytree(out, torn)
+    report = torn / "report.json"
+    report.write_bytes(report.read_bytes()[:300])
+    reports = _spy_reports(monkeypatch)
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(torn)]) == 0
+    assert reports[0]["stages_run"] == ["eval"]
+    assert report.read_bytes() == (out / "report.json").read_bytes()
+
+
+def test_torn_vocab_reruns_vlm_through_eval(tmp_path, pipeline_run):
+    out, _, _ = pipeline_run
+    torn = tmp_path / "torn"
+    shutil.copytree(out, torn)
+    vocab = torn / "vocab.json"
+    vocab.write_bytes(vocab.read_bytes()[:50])
+    _, report = run_pipeline(mini_config(), torn)
+    assert report["stages_run"] == ["vlm", "adapter", "eval"]
+    for name in ("vocab.json", "vlm.ckpt", "adapter.ckpt", "report.json"):
+        assert (torn / name).read_bytes() == (out / name).read_bytes(), name
+
+
+def test_sweep_equals_uncached_per_arm_reference(pipeline_run, monkeypatch):
+    from rare_lens import harness, hinting
+    from test_vlm import stepwise_generate
+
+    _, arts, _ = pipeline_run
+    real = harness.detect_and_answer
+    answers: dict = {"cached": [], "reference": []}
+
+    def recorded(tag):
+        def call(meta, *args, scene=None, **kwargs):
+            out = real(meta, *args, scene=scene if tag == "cached" else None, **kwargs)
+            answers[tag].append((meta.scene_id, kwargs["mode"], kwargs["k"], out.generated))
+            return out
+        return call
+
+    monkeypatch.setattr(harness, "detect_and_answer", recorded("cached"))
+    cached = ablation_sweep(arts, k=2)
+    monkeypatch.setattr(hinting, "generate", stepwise_generate)
+    monkeypatch.setattr(harness, "detect_and_answer", recorded("reference"))
+    reference = ablation_sweep(arts, k=2)
+
+    assert len(answers["cached"]) == 14 * 30
+    assert answers["cached"] == answers["reference"]
+    for mode in cached["arms"]:
+        assert cached["arms"][mode].to_dict() == reference["arms"][mode].to_dict()
+    assert [r.to_dict() for r in cached["ksweep"]] == [r.to_dict() for r in reference["ksweep"]]
 
 
 def test_checkpoint_version_change_reruns_checkpoint_stages(tmp_path, pipeline_run, monkeypatch):

@@ -201,3 +201,32 @@ def test_unknown_mode_and_adapter_pairing_errors(inference_stack):
         H.detect_and_answer(
             meta, grid, encoder, learner, stale, model, tokenizer, mode="full"
         )
+
+
+def test_scene_context_shares_work_and_keeps_answers(inference_stack):
+    world, encoder, learner, adapter, model, tokenizer = inference_stack
+    meta = world.scenes("test")[4]
+    grid = world.grid(meta.scene_id)
+    scene = H.SceneContext(meta.scene_id)
+    for mode in H.MODES:
+        alone = H.detect_and_answer(
+            meta, grid, encoder, learner, adapter, model, tokenizer, mode=mode
+        )
+        shared = H.detect_and_answer(
+            meta, grid, encoder, learner, adapter, model, tokenizer, mode=mode, scene=scene
+        )
+        assert shared.generated == alone.generated
+        assert shared.prompt_text == alone.prompt_text
+    assert set(scene.parts) == {
+        "score_map", "visual", "refined", ("prefix", False), ("prefix", True)
+    }
+
+
+def test_scene_context_rejects_another_scene(inference_stack):
+    world, encoder, learner, adapter, model, tokenizer = inference_stack
+    first, second = world.scenes("test")[:2]
+    with pytest.raises(ContractError):
+        H.detect_and_answer(
+            second, world.grid(second.scene_id), encoder, learner, adapter, model,
+            tokenizer, mode="baseline", scene=H.SceneContext(first.scene_id),
+        )

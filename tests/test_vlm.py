@@ -127,28 +127,113 @@ def test_attention_rows_sum_to_one():
         assert np.abs(attn.sum(axis=2) - 1.0).max() < 1e-10
 
 
+def stepwise_generate(model, visual, prompt, max_len, on_forward=None):
+    """Uncached greedy oracle: one full forward over the whole sequence per token."""
+    ids, roles = list(prompt.ids), list(prompt.roles)
+    out = []
+    for _ in range(max_len):
+        logits = V.forward(model, visual, V.TokenSequence(ids, roles)).logits.array[-1]
+        if on_forward is not None:
+            on_forward()
+        tok = int(np.argmax(logits))
+        out.append(tok)
+        ids.append(tok)
+        roles.append(V.Role.ANSWER)
+        if tok == V.EOS_ID:
+            break
+    return out
+
+
 def test_generate_deterministic_and_matches_stepwise_oracle():
     model = make_vlm(layers=2, heads=2, dim=8, vocab=11)
     prompt = seq_of([4, 2, 7])
     first = V.generate(model, None, prompt, max_len=5)
     assert first == V.generate(model, None, prompt, max_len=5)
-
-    ids, roles = list(prompt.ids), list(prompt.roles)
-    expect = []
-    for _ in range(5):
-        logits = V.forward(model, None, V.TokenSequence(ids, roles)).logits.array[-1]
-        tok = int(np.argmax(logits))
-        expect.append(tok)
-        ids.append(tok)
-        roles.append(V.Role.ANSWER)
-        if tok == V.EOS_ID:
-            break
-    assert first == expect
+    assert first == stepwise_generate(model, None, prompt, max_len=5)
 
 
-def test_generate_max_len_zero_is_empty():
+def test_generate_with_visual_and_past_matches_stepwise_oracle():
+    model = make_vlm(layers=2, heads=2, dim=8, vocab=11, d_v=8)
+    visual = Tensor(RNG.normal(size=(3, 8)))
+    for seed in range(8):
+        tail = list(np.random.default_rng(seed).integers(2, 11, size=4))
+        prompt = seq_of([0] * 3 + tail, n_visual=3)
+        expect = stepwise_generate(model, visual, prompt, max_len=6)
+        assert V.generate(model, visual, prompt, max_len=6) == expect
+        for cut in (3, 4, len(prompt.ids) - 1):
+            head = V.TokenSequence(prompt.ids[:cut], prompt.roles[:cut])
+            past = V.forward(model, visual, head).kv
+            assert V.generate(model, None, prompt, max_len=6, past=past) == expect
+
+
+def test_forward_with_past_matches_full_forward_rows():
+    model = make_vlm(layers=2, heads=2, dim=8, vocab=11, d_v=8)
+    visual = Tensor(RNG.normal(size=(3, 8)))
+    seq = seq_of([0] * 3 + [4, 2, 7, 9, 5], n_visual=3, n_answer=2)
+    full = V.forward(model, visual, seq)
+    for cut in (3, 5, 7):
+        head = V.forward(model, visual, V.TokenSequence(seq.ids[:cut], seq.roles[:cut]))
+        tail = V.forward(
+            model, None, V.TokenSequence(seq.ids[cut:], seq.roles[cut:]), past=head.kv
+        )
+        expect = full.logits.array[cut:]
+        assert np.abs(tail.logits.array - expect).max() <= 1e-12 * np.abs(expect).max()
+        for (k, v), (fk, fv) in zip(tail.kv, full.kv):
+            assert k.shape == fk.shape and v.shape == fv.shape
+        assert tail.attentions[0].shape == (2, len(seq.ids) - cut, len(seq.ids))
+
+
+def test_forward_with_past_rejects_visual_block():
+    model = make_vlm(d_v=8)
+    visual = Tensor(RNG.normal(size=(2, 8)))
+    past = V.forward(model, visual, seq_of([0, 0, 3], n_visual=2)).kv
+    with pytest.raises(ContractError):
+        V.forward(model, visual, seq_of([0, 0, 4], n_visual=2), past=past)
+
+
+def test_generate_context_overflow_raises_at_the_uncached_step(monkeypatch):
+    model = make_vlm(layers=2, heads=2, dim=8, vocab=11)
+    prompt = seq_of([4, 2, 7] * 21)  # context - 1 = 63 tokens
+    assert len(prompt.ids) == model.config.context - 1
+    done = {"oracle": 0, "cached": 0}
+
+    def oracle_step():
+        done["oracle"] += 1
+
+    with pytest.raises(ContractError, match="exceeds context"):
+        stepwise_generate(model, None, prompt, max_len=3, on_forward=oracle_step)
+    assert done["oracle"] == 2  # lengths 63 and 64 run; 65 does not
+
+    real = V.forward
+
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
+        done["cached"] += 1
+        return out
+
+    monkeypatch.setattr(V, "forward", counted)
+    with pytest.raises(ContractError, match="exceeds context"):
+        V.generate(model, None, prompt, max_len=3)
+    assert done["cached"] == done["oracle"]
+
+
+def test_generate_max_len_zero_is_empty(monkeypatch):
     model = make_vlm()
+    past = V.forward(model, None, seq_of([1])).kv
+
+    def no_forward(*args, **kwargs):
+        raise AssertionError("forward ran")
+
+    monkeypatch.setattr(V, "forward", no_forward)
     assert V.generate(model, None, seq_of([1, 2]), max_len=0) == []
+    assert V.generate(model, None, seq_of([1, 2]), max_len=0, past=past) == []
+
+
+def test_generate_past_must_leave_a_prompt_position():
+    model = make_vlm()
+    past = V.forward(model, None, seq_of([1, 2])).kv
+    with pytest.raises(ContractError):
+        V.generate(model, None, seq_of([1, 2]), max_len=2, past=past)
 
 
 def test_sequence_nll_uniform_logits_analytic():

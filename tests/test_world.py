@@ -223,6 +223,14 @@ def test_truncated_scene_file_rejected(tmp_path, tiny_world):
         w.read_scene(path)
 
 
+def test_scene_file_with_a_cut_magic_rejected(tmp_path, tiny_world):
+    path = tmp_path / "scene.bin"
+    w.write_scene(path, tiny_world.grid(tiny_world.manifest.train_ids[0]))
+    path.write_bytes(path.read_bytes()[:2])
+    with pytest.raises(ChecksumError, match="bad scene magic"):
+        w.read_scene(path)
+
+
 def test_dataset_save_load_round_trip(tmp_path, imbalanced_world):
     out = tmp_path / "ds"
     w.save_dataset(imbalanced_world, out)
