@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
-from .base import ParamMixin, check_is_fitted, check_matrix
+from .base import check_is_fitted, check_matrix
 from .ckpt import round_f32, weights_crc
 from .embeddings import ClassEmbeddingTable
 from .errors import PairingError, ShapeError
@@ -24,14 +24,25 @@ from .vlm import VLM, TokenSequence, Tokenizer, build_qa, connector, sequence_nl
 from .world import VisionEncoder, World
 
 
-@dataclass
-class RefinedTokens:
-    """Refined visual tokens plus the provenance that produced them."""
+@dataclass(frozen=True)
+class AdapterConfig:
+    """Adapter hyperparameters.
 
-    tokens: np.ndarray  # [M, dim]
-    scene_id: str
-    table_crc: int | None
-    adapter_crc: int | None
+    heads: attention heads inside the adapter. epochs, lr, weight_decay:
+    AdamW schedule (batch size is one scene). rec_weight, autoreg_weight:
+    the two loss terms' coefficients. per_class_cap: per-epoch scene cap per
+    class, so rare classes are not drowned out. rare_boost: how many times
+    each rare-class scene repeats per epoch.
+    """
+
+    heads: int = 4
+    epochs: int = 10
+    lr: float = 1e-4
+    weight_decay: float = 0.01
+    rec_weight: float = 1.0
+    autoreg_weight: float = 1.0
+    per_class_cap: int = 10
+    rare_boost: int = 12
 
 
 def init_adapter(dim: int, heads: int, seed: int) -> dict[str, Tensor]:
@@ -78,52 +89,19 @@ def rec_loss(visual: Tensor, refined: Tensor) -> Tensor:
     return ad.sum_all(ad.mul(diff, diff))
 
 
-def autoreg_loss(
-    refined: Tensor, seq: TokenSequence, vlm: VLM, supervise: str = "answer"
-) -> Tensor:
+def autoreg_loss(refined: Tensor, seq: TokenSequence, vlm: VLM) -> Tensor:
     """Causal LM loss of the frozen decoder fed with refined tokens."""
-    return sequence_nll(vlm, refined, seq, supervise=supervise)
+    return sequence_nll(vlm, refined, seq)
 
 
-class VisualTokenAdapter(ParamMixin):
+class VisualTokenAdapter:
     """Trains the cross-attentive refinement against a frozen decoder.
-
-    Parameters
-    ----------
-    heads : attention heads inside the adapter.
-    epochs, lr, weight_decay : AdamW schedule (batch size is one scene).
-    rec_weight, autoreg_weight : the two loss terms' coefficients.
-    supervise : "answer" masks prompts out of the LM loss; "all" scores
-        every text position.
-    per_class_cap : per-epoch scene cap per class; balances the skewed
-        training split so rare classes are not drowned out.
-    rare_boost : how many times each rare-class scene repeats per epoch.
 
     Fitted attributes: params_ (projection tensors), table_crc_, history_.
     """
 
-    def __init__(
-        self,
-        heads: int = 4,
-        epochs: int = 10,
-        lr: float = 1e-4,
-        weight_decay: float = 0.01,
-        rec_weight: float = 1.0,
-        autoreg_weight: float = 1.0,
-        supervise: str = "answer",
-        per_class_cap: int = 10,
-        rare_boost: int = 12,
-        seed: int = 0,
-    ):
-        self.heads = heads
-        self.epochs = epochs
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.rec_weight = rec_weight
-        self.autoreg_weight = autoreg_weight
-        self.supervise = supervise
-        self.per_class_cap = per_class_cap
-        self.rare_boost = rare_boost
+    def __init__(self, cfg: AdapterConfig, seed: int):
+        self.cfg = cfg
         self.seed = seed
 
     def n_parameters(self) -> int:
@@ -138,7 +116,7 @@ class VisualTokenAdapter(ParamMixin):
         """Refine a [M, dim] token matrix; shape-preserving."""
         check_is_fitted(self, "params_")
         v = check_matrix(visual, "visual", cols=table.w.shape[1])
-        refined, _ = adapt(v, table.w, self.params_, self.heads)
+        refined, _ = adapt(v, table.w, self.params_, self.cfg.heads)
         return refined.array
 
     def fit(
@@ -153,8 +131,8 @@ class VisualTokenAdapter(ParamMixin):
         vlm_before = vlm.checksum()
         table_before = np.array(table.w.array)
         encoder = VisionEncoder.for_world(world)
-        dim = vlm.config.dim
-        params = init_adapter(dim, self.heads, self.seed)
+        cfg = self.cfg
+        params = init_adapter(vlm.config.dim, cfg.heads, self.seed)
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 173]))
 
         # Balanced, seed-fixed training subset (batch size 1 per step); rare
@@ -166,9 +144,9 @@ class VisualTokenAdapter(ParamMixin):
         chosen = []
         for cid in sorted(by_class):
             metas = by_class[cid]
-            take = min(self.per_class_cap, len(metas))
+            take = min(cfg.per_class_cap, len(metas))
             idx = rng.choice(len(metas), size=take, replace=False)
-            repeats = self.rare_boost if cid in rare_ids else 1
+            repeats = cfg.rare_boost if cid in rare_ids else 1
             for _ in range(repeats):
                 chosen.extend(metas[i] for i in idx)
         examples = []
@@ -177,21 +155,21 @@ class VisualTokenAdapter(ParamMixin):
             seq = build_qa(tokenizer, v.shape[0], meta.question, meta.answer)
             examples.append((v, seq))
 
-        optimizer = AdamW(list(params.values()), lr=self.lr, weight_decay=self.weight_decay)
+        optimizer = AdamW(list(params.values()), lr=cfg.lr, weight_decay=cfg.weight_decay)
         history = []
-        for epoch in range(self.epochs):
+        for epoch in range(cfg.epochs):
             order = rng.permutation(len(examples))
             rec_sum = auto_sum = 0.0
             for j in order:
                 v_arr, seq = examples[j]
                 with GradTape() as tape:
                     v = Tensor(v_arr)
-                    refined, _ = adapt(v, table.w, params, self.heads)
+                    refined, _ = adapt(v, table.w, params, cfg.heads)
                     l_rec = rec_loss(v, refined)
-                    l_auto = autoreg_loss(refined, seq, vlm, self.supervise)
+                    l_auto = autoreg_loss(refined, seq, vlm)
                     loss = ad.add(
-                        ad.scale(l_rec, self.rec_weight),
-                        ad.scale(l_auto, self.autoreg_weight),
+                        ad.scale(l_rec, cfg.rec_weight),
+                        ad.scale(l_auto, cfg.autoreg_weight),
                     )
                 optimizer.step(backward(loss, tape))
                 rec_sum += l_rec.item()

@@ -1,41 +1,15 @@
-"""Estimator plumbing: get_params/set_params and input validation helpers.
+"""Estimator input validation helpers.
 
-The learnable components follow the familiar fit/transform/predict shape so
-they can sit inside ordinary model-selection tooling: constructor arguments
-are hyperparameters, fitted state lands in trailing-underscore attributes.
+The learnable components follow the familiar fit/transform/predict shape:
+each takes its config section and a seed, and fitted state lands in
+trailing-underscore attributes.
 """
 
 from __future__ import annotations
 
-import inspect
-
 import numpy as np
 
 from .errors import NotFittedError, ShapeError
-
-
-class ParamMixin:
-    """sklearn-compatible get_params/set_params from the __init__ signature."""
-
-    @classmethod
-    def _param_names(cls) -> list[str]:
-        sig = inspect.signature(cls.__init__)
-        return [n for n in sig.parameters if n != "self"]
-
-    def get_params(self, deep: bool = True) -> dict:
-        return {n: getattr(self, n) for n in self._param_names()}
-
-    def set_params(self, **params) -> "ParamMixin":
-        valid = set(self._param_names())
-        for name, value in params.items():
-            if name not in valid:
-                raise ValueError(f"unknown parameter {name!r} for {type(self).__name__}")
-            setattr(self, name, value)
-        return self
-
-    def __repr__(self) -> str:
-        args = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._param_names())
-        return f"{type(self).__name__}({args})"
 
 
 def check_is_fitted(estimator, attribute: str) -> None:

@@ -3,10 +3,11 @@
 A run is a pure function of (config, seed). Defaults carry the documented
 operating point: EMA coefficient 0.95, top-k of 3, learning rate 1e-4 with
 weight decay 0.01 for the embedding and adapter stages, 20 embedding epochs
-(split 10 + 10) and 10 adapter epochs at batch size one. Unknown keys are
-rejected so typos cannot silently fall back to defaults. The pipeline builds
-each estimator from its section: AdapterConfig holds exactly the adapter's
-parameters but the seed, EmbeddingConfig the learner's plus budget and gate.
+(split 10 + 10) and 10 adapter epochs at batch size one. Unknown keys and
+values of the wrong type are rejected so typos cannot silently fall back to
+defaults. The dataset, fixture, embeddings and adapter sections live next to
+the code they configure, which takes them whole: generate_dataset,
+pretrain_fixture, ClassEmbeddingLearner and VisualTokenAdapter.
 """
 
 from __future__ import annotations
@@ -16,46 +17,12 @@ import json
 from dataclasses import asdict, dataclass, field, fields, is_dataclass
 from pathlib import Path
 
+from .adapter import AdapterConfig
 from .embeddings import EmbeddingConfig
 from .errors import ConfigError
+from .hinting import MODES
 from .vlm import FixtureConfig
-from .world import ImbalanceProfile
-
-
-@dataclass(frozen=True)
-class DatasetConfig:
-    n_classes: int = 12
-    grid: int = 5
-    d_v: int = 32
-    d_t: int = 32
-    rare_count: int = 4
-    rare_n: int = 5
-    common_n: int = 200
-    test_per_class: int = 20
-    alpha: float = 8.0
-    noise: float = 1.0
-    vision_identity: bool = False
-
-    def profile(self) -> ImbalanceProfile:
-        return ImbalanceProfile(
-            rare_count=self.rare_count,
-            rare_n=self.rare_n,
-            common_n=self.common_n,
-            test_per_class=self.test_per_class,
-        )
-
-
-@dataclass(frozen=True)
-class AdapterConfig:
-    heads: int = 4
-    epochs: int = 10
-    lr: float = 1e-4
-    weight_decay: float = 0.01
-    rec_weight: float = 1.0
-    autoreg_weight: float = 1.0
-    supervise: str = "answer"
-    per_class_cap: int = 10
-    rare_boost: int = 12
+from .world import DatasetConfig
 
 
 @dataclass(frozen=True)
@@ -75,19 +42,15 @@ class ExperimentConfig:
     inference: InferenceConfig = field(default_factory=InferenceConfig)
 
     def validate(self) -> "ExperimentConfig":
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.embeddings.dim != self.fixture.vlm.dim:
             raise ConfigError(
                 f"embedding dim {self.embeddings.dim} must equal the decoder "
                 f"dim {self.fixture.vlm.dim}"
             )
-        if self.inference.mode not in (
-            "baseline", "visual-only", "hints-only", "all-classes-hints", "full"
-        ):
+        if self.inference.mode not in MODES:
             raise ConfigError(f"unknown inference mode {self.inference.mode!r}")
-        if self.adapter.supervise not in ("answer", "all"):
-            raise ConfigError("adapter.supervise must be 'answer' or 'all'")
-        if self.fixture.distractor_pool not in ("all", "common"):
-            raise ConfigError("fixture.distractor_pool must be 'all' or 'common'")
         if self.inference.k < 1:
             raise ConfigError("inference.k must be >= 1")
         if self.fixture.vlm.dim % self.adapter.heads:
@@ -96,6 +59,13 @@ class ExperimentConfig:
                 f"dim {self.fixture.vlm.dim}"
             )
         return self
+
+
+def _fits(value, kind: type) -> bool:
+    """Whether a JSON scalar may fill a field whose default is of `kind`."""
+    if isinstance(value, bool):  # bool is an int subclass, never a number here
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def _build(cls, doc: dict, path: str):
@@ -107,14 +77,18 @@ def _build(cls, doc: dict, path: str):
         raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
     kwargs = {}
     for name, value in doc.items():
+        where = f"{path}.{name}" if path else name
         section = known[name].default_factory  # a nested config class, or MISSING
         if is_dataclass(section):
-            kwargs[name] = _build(section, value, f"{path}.{name}" if path else name)
-        else:
+            kwargs[name] = _build(section, value, where)
+        elif _fits(value, type(known[name].default)):
             kwargs[name] = value
+        else:
+            kind = type(known[name].default).__name__
+            raise ConfigError(f"{where}: expected {kind}, got {value!r}")
     try:
         return cls(**kwargs)
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:  # a section's own check, e.g. VLMConfig's
         raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 

@@ -11,13 +11,13 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import GradTape, Tensor, backward
-from .base import ParamMixin, check_is_fitted, check_labels, check_matrix
+from .base import check_is_fitted, check_labels, check_matrix
 from .ckpt import round_f32, weights_crc
 from .errors import ConfigError, ContractError, GateError
 from .optim import AdamW, MonotoneGuard
@@ -171,41 +171,39 @@ def class_loss(x: Tensor, labels, table: ClassEmbeddingTable) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-class ClassEmbeddingLearner(ParamMixin):
-    """Learns projection heads and the prototype table from paired features.
+@dataclass(frozen=True)
+class EmbeddingConfig:
+    """Learner hyperparameters plus the resampling budget and the gate.
 
-    Parameters
-    ----------
-    dim : embedding width; must equal the decoder embedding dimension.
-    kappa : EMA coefficient for prototype updates.
-    lr, weight_decay : AdamW settings for both phases.
-    epochs_align, epochs_joint : phase lengths (alignment, then joint).
-    batch_size : visual minibatch size; full batch when the set is smaller.
-    class_weight : weight of the discriminative term in the joint phase.
+    dim: embedding width; must equal the decoder embedding dimension.
+    kappa: EMA coefficient for prototype updates. lr, weight_decay: AdamW
+    settings for both phases. epochs_align, epochs_joint: phase lengths
+    (alignment, then joint). batch_size: visual minibatch size; full batch
+    when the set is smaller. class_weight: weight of the discriminative term
+    in the joint phase.
+    """
+
+    dim: int = 64
+    kappa: float = 0.95
+    lr: float = 1e-4
+    weight_decay: float = 0.01
+    epochs_align: int = 10
+    epochs_joint: int = 10
+    batch_size: int = 128
+    class_weight: float = 1.0
+    budget_per_class: int = 24
+    gate_accuracy: float = 0.95
+    gate_rare_recall: float = 0.90
+
+
+class ClassEmbeddingLearner:
+    """Learns projection heads and the prototype table from paired features.
 
     Fitted attributes: heads_, table_, history_ (per-epoch loss rows).
     """
 
-    def __init__(
-        self,
-        dim: int = 64,
-        kappa: float = 0.95,
-        lr: float = 1e-4,
-        weight_decay: float = 0.01,
-        epochs_align: int = 10,
-        epochs_joint: int = 10,
-        batch_size: int = 128,
-        class_weight: float = 1.0,
-        seed: int = 0,
-    ):
-        self.dim = dim
-        self.kappa = kappa
-        self.lr = lr
-        self.weight_decay = weight_decay
-        self.epochs_align = epochs_align
-        self.epochs_joint = epochs_joint
-        self.batch_size = batch_size
-        self.class_weight = class_weight
+    def __init__(self, cfg: EmbeddingConfig, seed: int):
+        self.cfg = cfg
         self.seed = seed
 
     # -- fitted-surface helpers ------------------------------------------
@@ -245,15 +243,16 @@ class ClassEmbeddingLearner(ParamMixin):
             )
         positives = (yt[None, :] == yv[:, None])
 
-        heads = init_heads(zv.shape[1], zt.shape[1], self.dim, self.seed)
-        optimizer = AdamW(heads.parameters(), lr=self.lr, weight_decay=self.weight_decay)
+        cfg = self.cfg
+        heads = init_heads(zv.shape[1], zt.shape[1], cfg.dim, self.seed)
+        optimizer = AdamW(heads.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
         rng = np.random.default_rng(np.random.SeedSequence([self.seed, 2391]))
         zt_t = Tensor(zt)
         history: list[dict] = []
 
         def batches():
             order = rng.permutation(zv.shape[0])
-            step = min(self.batch_size, zv.shape[0])
+            step = min(cfg.batch_size, zv.shape[0])
             for start in range(0, len(order), step):
                 yield order[start : start + step]
 
@@ -275,7 +274,7 @@ class ClassEmbeddingLearner(ParamMixin):
         # Phase 1: cross-modal alignment only.
         guard = MonotoneGuard(optimizer)
         guard.best = eval_align()
-        for epoch in range(self.epochs_align):
+        for epoch in range(cfg.epochs_align):
             guard.snapshot()
             for idx in batches():
                 with GradTape() as tape:
@@ -295,7 +294,7 @@ class ClassEmbeddingLearner(ParamMixin):
         table = init_class_embeddings(
             {c: heads.project_visual(zv[yv == c]).array for c in range(n_classes)},
             class_names,
-            self.kappa,
+            cfg.kappa,
             self.seed,
         )
 
@@ -303,13 +302,13 @@ class ClassEmbeddingLearner(ParamMixin):
             a = eval_align()
             full = ad.concat_rows([heads.project_visual(zv), heads.project_text(zt_t)])
             c = class_loss(full, np.concatenate([yv, yt]), tab).item()
-            return a + self.class_weight * c, a, c
+            return a + cfg.class_weight * c, a, c
 
         # Phase 2: joint objective with one EMA prototype update per epoch.
         guard = MonotoneGuard(optimizer)
         joint, a_val, c_val = eval_joint(table)
         guard.best = joint
-        for epoch in range(self.epochs_joint):
+        for epoch in range(cfg.epochs_joint):
             guard.snapshot()
             before = table
             for idx in batches():
@@ -319,7 +318,7 @@ class ClassEmbeddingLearner(ParamMixin):
                     loss = align_loss(hv, ht, positives[idx])
                     both = ad.concat_rows([hv, ht])
                     closs = class_loss(both, np.concatenate([yv[idx], yt]), table)
-                    loss = ad.add(loss, ad.scale(closs, self.class_weight))
+                    loss = ad.add(loss, ad.scale(closs, cfg.class_weight))
                 optimizer.step(backward(loss, tape))
             table = ema_update(table, projected_means())
             joint, a_val, c_val = eval_joint(table)
@@ -327,7 +326,7 @@ class ClassEmbeddingLearner(ParamMixin):
                 table = before
                 joint, a_val, c_val = eval_joint(table)
             history.append(
-                {"epoch": self.epochs_align + epoch, "phase": 2,
+                {"epoch": cfg.epochs_align + epoch, "phase": 2,
                  "align": a_val, "class": c_val, "proto_acc": proto_accuracy(table)}
             )
 
@@ -346,28 +345,6 @@ class ClassEmbeddingLearner(ParamMixin):
 # ---------------------------------------------------------------------------
 # dataset-level training with the prototype gate
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class EmbeddingConfig:
-    dim: int = 64
-    kappa: float = 0.95
-    lr: float = 1e-4
-    weight_decay: float = 0.01
-    epochs_align: int = 10
-    epochs_joint: int = 10
-    batch_size: int = 128
-    class_weight: float = 1.0
-    budget_per_class: int = 24
-    gate_accuracy: float = 0.95
-    gate_rare_recall: float = 0.90
-
-    def learner(self, seed: int) -> ClassEmbeddingLearner:
-        """The estimator these fields configure; budget and gate stay here."""
-        names = ClassEmbeddingLearner._param_names()
-        return ClassEmbeddingLearner(
-            **{k: v for k, v in asdict(self).items() if k in names}, seed=seed
-        )
 
 
 def pooled_crops(world: World, encoder: VisionEncoder, split: str):
@@ -402,7 +379,7 @@ def train_class_embeddings(
     zt = np.array([text_encoder.encode(p) for _, p in drawn])
     yt = np.array([c for c, _ in drawn])
 
-    learner = cfg.learner(seed).fit(zv, yv, zt, yt, m.names)
+    learner = ClassEmbeddingLearner(cfg, seed).fit(zv, yv, zt, yt, m.names)
 
     zv_test, yv_test = pooled_crops(world, encoder, "test")
     predicted = learner.predict(zv_test)

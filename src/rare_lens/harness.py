@@ -210,12 +210,7 @@ def _artifacts(got: dict) -> Artifacts:
 
 
 def _build_dataset(cfg: ExperimentConfig, got: dict, records: dict):
-    d = cfg.dataset
-    world = generate_dataset(
-        d.n_classes, d.grid, d.d_v, d.profile(), cfg.seed, d_t=d.d_t,
-        alpha=d.alpha, noise=d.noise, vision_identity=d.vision_identity,
-    )
-    return world, {}
+    return generate_dataset(cfg.dataset, cfg.seed), {}
 
 
 def _build_vlm(cfg: ExperimentConfig, got: dict, records: dict):
@@ -268,7 +263,7 @@ def _load_classes(cfg: ExperimentConfig, path: Path, got: dict) -> ClassEmbeddin
     weights = {k: Tensor(v) for k, v in blobs.items()}
     token = ckpt.weights_crc({**weights, "table.w": table_w})
     heads = ProjectionHeads(weights, token)
-    learner = cfg.embeddings.learner(cfg.seed)
+    learner = ClassEmbeddingLearner(cfg.embeddings, cfg.seed)
     learner.heads_ = heads
     learner.table_ = ClassEmbeddingTable(
         table_w, header["class_names"], header["kappa"], pair_token=token
@@ -284,19 +279,19 @@ def _adapter_inputs(cfg: ExperimentConfig, got: dict) -> dict:
 
 def _build_adapter(cfg: ExperimentConfig, got: dict, records: dict):
     vlm, tokenizer = got["vlm"]
-    adapter = VisualTokenAdapter(**asdict(cfg.adapter), seed=cfg.seed)
+    adapter = VisualTokenAdapter(cfg.adapter, cfg.seed)
     adapter.fit(got["dataset"], got["classes"].table_, vlm, tokenizer)
     return adapter, {"history": adapter.history_}
 
 
 def _save_adapter(path: Path, adapter: VisualTokenAdapter) -> int:
-    header = {"heads": adapter.heads, "table_crc": adapter.table_crc_}
+    header = {"heads": adapter.cfg.heads, "table_crc": adapter.table_crc_}
     return ckpt.save_adapter(path, header, adapter.params_)
 
 
 def _load_adapter(cfg: ExperimentConfig, path: Path, got: dict) -> VisualTokenAdapter:
     header, blobs = ckpt.load_adapter(path, got["classes"].table_.pair_token)
-    adapter = VisualTokenAdapter(**asdict(cfg.adapter), seed=cfg.seed)
+    adapter = VisualTokenAdapter(cfg.adapter, cfg.seed)
     adapter.params_ = {k: Tensor(v) for k, v in blobs.items()}
     adapter.table_crc_ = header["table_crc"]
     adapter.history_ = []
@@ -498,6 +493,9 @@ def _probe_one(arts: Artifacts, meta, refined: bool):
 
 def probe_report(arts: Artifacts, scene_ids: list[str], out_dir) -> dict:
     """Per-scene probe files plus test-split aggregates (baseline vs refined)."""
+    unknown = [sid for sid in scene_ids if sid not in arts.world.manifest.scene_meta]
+    if unknown:
+        raise ConfigError(f"unknown scene ids {unknown}")
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     for sid in scene_ids:

@@ -16,11 +16,10 @@ from typing import Callable
 import numpy as np
 
 from . import autodiff as ad
-from .adapter import RefinedTokens, VisualTokenAdapter
-from .base import ParamMixin
+from .adapter import VisualTokenAdapter
 from .embeddings import ClassEmbeddingLearner, ClassEmbeddingTable, ProjectionHeads
 from .errors import ContractError, PairingError
-from .prompting import PromptTemplate, enrich_prompt
+from .prompting import enrich_prompt
 from .vlm import VLM, KVCache, Tokenizer, TokenSequence, build_prompt, connector, forward, generate
 from .world import SceneMeta, VisionEncoder
 
@@ -30,11 +29,9 @@ __all__ = [
     "MODES",
     "ScoreMap",
     "DetectionResult",
-    "PromptTemplate",
     "enrich_prompt",
     "score_map",
     "top_k",
-    "ObjectDetector",
     "InferenceOutput",
     "SceneContext",
     "detect_and_answer",
@@ -92,32 +89,13 @@ def top_k(smap: ScoreMap, k: int, class_names: list[str]) -> DetectionResult:
     )
 
 
-class ObjectDetector(ParamMixin):
-    """Predict-shaped wrapper: scene grid in, top-k detected classes out."""
-
-    def __init__(self, k: int = 3):
-        self.k = k
-
-    def bind(self, encoder: VisionEncoder, learner: ClassEmbeddingLearner):
-        self.encoder_ = encoder
-        self.heads_ = learner.heads_
-        self.table_ = learner.table_
-        return self
-
-    def score_map(self, grid: np.ndarray) -> ScoreMap:
-        return score_map(grid, self.encoder_, self.heads_, self.table_)
-
-    def predict(self, grid: np.ndarray) -> DetectionResult:
-        return top_k(self.score_map(grid), self.k, self.table_.class_names)
-
-
 @dataclass
 class InferenceOutput:
     generated: list[int]
     answer_text: str
     prompt_text: str
     detection: DetectionResult
-    refined: RefinedTokens
+    refined: np.ndarray  # [M, dim] visual tokens the decoder read
     correct: bool
 
 
@@ -188,9 +166,8 @@ def detect_and_answer(
                 "adapter was trained against a different class table"
             )
         v_hat = ctx.get("refined", lambda: adapter.transform(v, table))
-        adapter_crc = adapter.checksum()
     else:
-        v_hat, adapter_crc = v, None
+        v_hat = v
 
     if mode in ("hints-only", "full"):
         prompt_text = enrich_prompt(meta.question, detection.names)
@@ -209,10 +186,5 @@ def detect_and_answer(
     answer_text = tokenizer.decode([t for t in generated if t != tokenizer.eos])
     correct = tokenizer.index.get(meta.answer) in generated
     return InferenceOutput(
-        generated,
-        answer_text,
-        prompt_text,
-        detection,
-        RefinedTokens(v_hat, meta.scene_id, table.pair_token, adapter_crc),
-        bool(correct),
+        generated, answer_text, prompt_text, detection, v_hat, bool(correct)
     )

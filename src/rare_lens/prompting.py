@@ -2,30 +2,12 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 QUESTION_TEMPLATES = (
     "please describe the object inside the marked region .",
     "what object is in the marked region ?",
 )
 
 HINT_SUFFIX = " [Detected: {names}]"
-
-
-@dataclass(frozen=True)
-class PromptTemplate:
-    """A base prompt plus the suffix pattern used to inject detected classes.
-
-    Rendering with an empty name list reproduces the prompt byte-exactly.
-    """
-
-    prompt: str
-    suffix: str = HINT_SUFFIX
-
-    def render(self, names: list[str]) -> str:
-        if not names:
-            return self.prompt
-        return self.prompt + self.suffix.format(names=", ".join(names))
 
 
 def enrich_prompt(prompt: str, names: list[str]) -> str:
@@ -35,4 +17,7 @@ def enrich_prompt(prompt: str, names: list[str]) -> str:
     """
     if not prompt:
         raise ValueError("prompt must be nonempty")
-    return PromptTemplate(prompt).render(list(names))
+    names = list(names)
+    if not names:
+        return prompt
+    return prompt + HINT_SUFFIX.format(names=", ".join(names))

@@ -253,20 +253,9 @@ def forward(
     return ForwardResult(logits, hiddens, attentions, m, kv)
 
 
-def sequence_nll(
-    vlm: VLM, visual: Tensor | None, seq: TokenSequence, supervise: str = "answer"
-) -> Tensor:
-    """Summed next-token negative log-likelihood at supervised positions.
-
-    supervise="answer" scores answer-region targets only; "all" scores every
-    text position that has a predecessor.
-    """
-    if supervise == "answer":
-        targets = seq.answer_positions()
-    elif supervise == "all":
-        targets = [p for p in range(len(seq.ids)) if seq.roles[p] != Role.VISUAL and p > 0]
-    else:
-        raise ContractError(f"unknown supervision mode {supervise!r}")
+def sequence_nll(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> Tensor:
+    """Summed next-token negative log-likelihood of the answer-region targets."""
+    targets = seq.answer_positions()
     if not targets:
         raise ContractError("no supervised positions in sequence")
     result = forward(vlm, visual, seq)
@@ -342,7 +331,6 @@ class FixtureConfig:
     hinted_fraction: float = 0.25
     junk_fraction: float = 0.25
     hint_k: int = 3
-    distractor_pool: str = "all"
     gate_common: float = 0.90
     gate_rare: float = 0.40
     max_answer_len: int = 3
@@ -360,10 +348,9 @@ def _fixture_examples(
     world: World, encoder: VisionEncoder, cfg: FixtureConfig, rng: np.random.Generator
 ) -> list[_Example]:
     m = world.manifest
-    common_names = [m.names[c] for c in range(m.n_classes) if c not in m.rare_ids]
     # Distractor hints may name rare classes (text only): the decoder learns
     # those words as inputs while never seeing a rare scene or answer.
-    hint_pool = m.names if cfg.distractor_pool == "all" else common_names
+    hint_pool = m.names
     examples: list[_Example] = []
     for meta in world.scenes("train"):
         if meta.class_id in m.rare_ids:

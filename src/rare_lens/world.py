@@ -53,18 +53,29 @@ class SceneMeta:
 
 
 @dataclass(frozen=True)
-class ImbalanceProfile:
+class DatasetConfig:
+    """Benchmark shape and imbalance: rare classes get rare_n train scenes."""
+
+    n_classes: int = 12
+    grid: int = 5
+    d_v: int = 32
+    d_t: int = 32
     rare_count: int = 4
     rare_n: int = 5
     common_n: int = 200
     test_per_class: int = 20
+    alpha: float = 8.0
+    noise: float = 1.0
+    vision_identity: bool = False
 
-    def validate(self, n_classes: int) -> None:
-        if not 0 <= self.rare_count <= n_classes:
+    def validate(self) -> None:
+        if self.n_classes < 2 or self.grid < 4 or self.d_v < 8:
+            raise ConfigError("need C >= 2, g >= 4, d_v >= 8")
+        if not 0 <= self.rare_count <= self.n_classes:
             raise ConfigError("rare_count must lie in [0, C]")
         if self.rare_count and self.rare_n > 10:
             raise ConfigError("rare classes need N_c <= 10")
-        if self.rare_count < n_classes and self.common_n < 100:
+        if self.rare_count < self.n_classes and self.common_n < 100:
             raise ConfigError("common classes need N_c >= 100")
         if self.test_per_class < 1:
             raise ConfigError("test_per_class must be >= 1")
@@ -218,21 +229,10 @@ def _make_pools(
     return TextPool(lex, attr), word_class
 
 
-def generate_dataset(
-    n_classes: int,
-    g: int,
-    d_v: int,
-    profile: ImbalanceProfile,
-    seed: int,
-    d_t: int = 32,
-    alpha: float = 4.0,
-    noise: float = 1.0,
-    vision_identity: bool = False,
-) -> World:
+def generate_dataset(cfg: DatasetConfig, seed: int) -> World:
     """Deterministic benchmark generation; every output is f32-exact."""
-    if n_classes < 2 or g < 4 or d_v < 8:
-        raise ConfigError("need C >= 2, g >= 4, d_v >= 8")
-    profile.validate(n_classes)
+    cfg.validate()
+    n_classes, g, d_v = cfg.n_classes, cfg.grid, cfg.d_v
     root = np.random.SeedSequence(seed)
     rng_names, rng_sigs, rng_scene, rng_pool, rng_rare = (
         np.random.default_rng(s) for s in root.spawn(5)
@@ -242,10 +242,10 @@ def generate_dataset(
     sigs = _draw_signatures(rng_sigs, n_classes, d_v)
     rare_ids = sorted(
         int(i)
-        for i in rng_rare.choice(n_classes, size=profile.rare_count, replace=False)
+        for i in rng_rare.choice(n_classes, size=cfg.rare_count, replace=False)
     )
     counts = {
-        cid: (profile.rare_n if cid in rare_ids else profile.common_n)
+        cid: (cfg.rare_n if cid in rare_ids else cfg.common_n)
         for cid in range(n_classes)
     }
     classes = [
@@ -259,11 +259,11 @@ def generate_dataset(
     test_ids: list[str] = []
     idx = 0
     for cid in range(n_classes):
-        for split, n in (("train", counts[cid]), ("test", profile.test_per_class)):
+        for split, n in (("train", counts[cid]), ("test", cfg.test_per_class)):
             for _ in range(n):
                 sid = f"s{idx:05d}"
                 idx += 1
-                grid, bbox = _synth_grid(rng_scene, g, d_v, sigs[cid], alpha, noise)
+                grid, bbox = _synth_grid(rng_scene, g, d_v, sigs[cid], cfg.alpha, cfg.noise)
                 question = QUESTION_TEMPLATES[int(rng_scene.integers(len(QUESTION_TEMPLATES)))]
                 grids[sid] = grid
                 scene_meta[sid] = SceneMeta(sid, cid, bbox, question, names[cid], split)
@@ -279,10 +279,10 @@ def generate_dataset(
         seed=seed,
         g=g,
         d_v=d_v,
-        d_t=d_t,
-        alpha=alpha,
-        noise=noise,
-        vision_identity=vision_identity,
+        d_t=cfg.d_t,
+        alpha=cfg.alpha,
+        noise=cfg.noise,
+        vision_identity=cfg.vision_identity,
         rare_ids=rare_ids,
     )
     return World(manifest, grids, pools)
@@ -451,7 +451,7 @@ def read_scene(path) -> np.ndarray:
         raise ChecksumError(f"{path}: truncated scene header")
     version, g, d_v = struct.unpack_from("<HII", buf, 4)
     if version != SCENE_VERSION:
-        raise ContractError(f"unsupported scene version {version}")
+        raise ChecksumError(f"{path}: unsupported scene version {version}")
     if len(buf) - 14 != g * g * d_v * 4:
         raise ChecksumError(
             f"{path}: {len(buf) - 14} payload bytes, expected {g * g * d_v * 4}"

@@ -4,7 +4,7 @@ import pytest
 
 from rare_lens import vlm as V
 from rare_lens import world as w
-from rare_lens.adapter import VisualTokenAdapter
+from rare_lens.adapter import AdapterConfig, VisualTokenAdapter
 from rare_lens.embeddings import EmbeddingConfig, train_class_embeddings
 
 MINI_FIXTURE_CFG = V.FixtureConfig(
@@ -21,14 +21,16 @@ MINI_FIXTURE_SEED = 0
 
 @pytest.fixture(scope="session")
 def mini_world():
-    profile = w.ImbalanceProfile(rare_count=0, rare_n=5, common_n=100, test_per_class=5)
-    return w.generate_dataset(2, 4, 16, profile, seed=13, d_t=16)
+    cfg = w.DatasetConfig(n_classes=2, grid=4, d_v=16, d_t=16, rare_count=0, rare_n=5,
+                          common_n=100, test_per_class=5, alpha=4.0)
+    return w.generate_dataset(cfg, seed=13)
 
 
 @pytest.fixture(scope="session")
 def rare_world():
-    profile = w.ImbalanceProfile(rare_count=1, rare_n=5, common_n=100, test_per_class=10)
-    return w.generate_dataset(3, 4, 16, profile, seed=21, d_t=16)
+    cfg = w.DatasetConfig(n_classes=3, grid=4, d_v=16, d_t=16, rare_count=1, rare_n=5,
+                          common_n=100, test_per_class=10, alpha=4.0)
+    return w.generate_dataset(cfg, seed=21)
 
 
 @pytest.fixture(scope="session")
@@ -47,6 +49,6 @@ def mini_learner(mini_world):
 def mini_adapter(mini_world, mini_fixture, mini_learner):
     model, tokenizer, _ = mini_fixture
     learner, _ = mini_learner
-    adapter = VisualTokenAdapter(heads=2, epochs=2, per_class_cap=6, seed=0)
+    adapter = VisualTokenAdapter(AdapterConfig(heads=2, epochs=2, per_class_cap=6), seed=0)
     adapter.fit(mini_world, learner.table_, model, tokenizer)
     return adapter

@@ -297,7 +297,7 @@ def test_criterion_7_end_to_end(default_run, sweep_arms):
 @criterion(8, "interpretability: identity probes equal; lens rank improves; attention mass holds")
 def test_criterion_8_interpretability(default_run, tmp_path):
     _, arts, _, _ = default_run
-    identity = A.VisualTokenAdapter(heads=4, epochs=0, seed=0)
+    identity = A.VisualTokenAdapter(A.AdapterConfig(heads=4, epochs=0), seed=0)
     identity.fit(arts.world, arts.learner.table_, arts.vlm, arts.tokenizer)
     with_identity = Artifacts(
         arts.world, arts.encoder, arts.vlm, arts.tokenizer, arts.learner, identity

@@ -146,6 +146,9 @@ def test_full_adapter_objective_gradient():
     assert grad_check(f, list(params.values())) < 1e-4
 
 
+ONE_EPOCH = A.AdapterConfig(heads=2, epochs=1, per_class_cap=4)
+
+
 @pytest.fixture(scope="module")
 def small_setup(mini_world, mini_fixture):
     model, tokenizer, _ = mini_fixture
@@ -157,7 +160,7 @@ def small_setup(mini_world, mini_fixture):
 def test_adapter_fit_preserves_frozen_decoder(small_setup):
     world, model, tokenizer, table = small_setup
     before = model.checksum()
-    adapter = A.VisualTokenAdapter(heads=2, epochs=1, per_class_cap=4, seed=0)
+    adapter = A.VisualTokenAdapter(ONE_EPOCH, seed=0)
     adapter.fit(world, table, model, tokenizer)
     assert model.checksum() == before
     assert adapter.table_crc_ == 12345
@@ -166,7 +169,7 @@ def test_adapter_fit_preserves_frozen_decoder(small_setup):
 
 def test_adapter_fit_epoch0_identity_consequences(small_setup):
     world, model, tokenizer, table = small_setup
-    adapter = A.VisualTokenAdapter(heads=2, epochs=1, per_class_cap=4, seed=0)
+    adapter = A.VisualTokenAdapter(ONE_EPOCH, seed=0)
     adapter.fit(world, table, model, tokenizer)
     # At init the refinement is the identity, so the first recorded rec loss
     # reflects a near-zero departure after only within-epoch updates.
@@ -188,8 +191,8 @@ def test_adapter_fit_epoch0_identity_consequences(small_setup):
 
 def test_adapter_fit_deterministic(small_setup):
     world, model, tokenizer, table = small_setup
-    a1 = A.VisualTokenAdapter(heads=2, epochs=1, per_class_cap=4, seed=0)
-    a2 = A.VisualTokenAdapter(heads=2, epochs=1, per_class_cap=4, seed=0)
+    a1 = A.VisualTokenAdapter(ONE_EPOCH, seed=0)
+    a2 = A.VisualTokenAdapter(ONE_EPOCH, seed=0)
     a1.fit(world, table, model, tokenizer)
     a2.fit(world, table, model, tokenizer)
     assert a1.checksum() == a2.checksum()
@@ -197,7 +200,7 @@ def test_adapter_fit_deterministic(small_setup):
 
 def test_adapter_transform_shape_preserving(small_setup):
     world, model, tokenizer, table = small_setup
-    adapter = A.VisualTokenAdapter(heads=2, epochs=1, per_class_cap=4, seed=0)
+    adapter = A.VisualTokenAdapter(ONE_EPOCH, seed=0)
     adapter.fit(world, table, model, tokenizer)
     v = RNG.normal(size=(16, 32))
     out = adapter.transform(v, table)

@@ -200,6 +200,9 @@ def blobs(n_per, centers, spread, rng):
     return np.vstack(xs), np.array(ys)
 
 
+TWO_BLOB_CFG = E.EmbeddingConfig(dim=16, epochs_align=5, epochs_joint=5, lr=1e-3)
+
+
 @pytest.fixture(scope="module")
 def fitted_learner():
     rng = np.random.default_rng(0)
@@ -207,9 +210,7 @@ def fitted_learner():
     centers_t = [np.r_[3.0, np.zeros(5)], np.r_[np.zeros(5), 3.0]]
     zv, yv = blobs(20, centers_v, 0.5, rng)
     zt, yt = blobs(8, centers_t, 0.5, rng)
-    learner = E.ClassEmbeddingLearner(
-        dim=16, epochs_align=5, epochs_joint=5, lr=1e-3, seed=0
-    )
+    learner = E.ClassEmbeddingLearner(TWO_BLOB_CFG, seed=0)
     return learner.fit(zv, yv, zt, yt, ["left", "right"]), (zv, yv, zt, yt)
 
 
@@ -228,21 +229,9 @@ def test_learner_phase_losses_nonincreasing(fitted_learner):
 
 def test_learner_deterministic_pair_token(fitted_learner):
     learner, (zv, yv, zt, yt) = fitted_learner
-    again = E.ClassEmbeddingLearner(
-        dim=16, epochs_align=5, epochs_joint=5, lr=1e-3, seed=0
-    ).fit(zv, yv, zt, yt, ["left", "right"])
+    again = E.ClassEmbeddingLearner(TWO_BLOB_CFG, seed=0).fit(zv, yv, zt, yt, ["left", "right"])
     assert again.table_.pair_token == learner.table_.pair_token
     assert np.array_equal(again.table_.w.array, learner.table_.w.array)
-
-
-def test_learner_get_set_params_round_trip():
-    learner = E.ClassEmbeddingLearner(kappa=0.8, lr=3e-4)
-    params = learner.get_params()
-    assert params["kappa"] == 0.8
-    learner.set_params(kappa=0.5)
-    assert learner.kappa == 0.5
-    with pytest.raises(ValueError):
-        learner.set_params(bogus=1)
 
 
 def test_projection_zero_output_layer_gives_zeros():
@@ -278,8 +267,9 @@ def test_projection_gradients_pass_grad_check():
 
 @pytest.fixture(scope="module")
 def gate_world():
-    profile = w.ImbalanceProfile(rare_count=1, rare_n=5, common_n=100, test_per_class=10)
-    return w.generate_dataset(3, 4, 16, profile, seed=21, d_t=16)
+    cfg = w.DatasetConfig(n_classes=3, grid=4, d_v=16, d_t=16, rare_count=1, rare_n=5,
+                          common_n=100, test_per_class=10, alpha=4.0)
+    return w.generate_dataset(cfg, seed=21)
 
 
 def test_train_class_embeddings_passes_gate(gate_world):

@@ -10,6 +10,7 @@ from rare_lens import ckpt, cli
 from rare_lens.config import config_from_dict
 from rare_lens.harness import ablation_sweep, evaluate, probe_report, report_params, run_pipeline
 from rare_lens.vis import quantize, read_csv_matrix, read_pgm
+from test_world import flip_version
 
 MINI_DOC = {
     "seed": 5,
@@ -157,10 +158,10 @@ def test_probe_report_files_round_trip(pipeline_run, tmp_path):
 
 def test_identity_adapter_probes_match_baseline(pipeline_run, tmp_path):
     _, arts, _ = pipeline_run
-    from rare_lens.adapter import VisualTokenAdapter
+    from rare_lens.adapter import AdapterConfig, VisualTokenAdapter
     from rare_lens.harness import Artifacts, _probe_one
 
-    identity = VisualTokenAdapter(heads=2, epochs=0, seed=0)
+    identity = VisualTokenAdapter(AdapterConfig(heads=2, epochs=0), seed=0)
     identity.fit(arts.world, arts.learner.table_, arts.vlm, arts.tokenizer)
     swapped = Artifacts(
         arts.world, arts.encoder, arts.vlm, arts.tokenizer, arts.learner, identity
@@ -236,26 +237,53 @@ def test_cli_torn_run_meta_reruns_every_stage(tmp_path, pipeline_run, monkeypatc
     assert (torn / "report.json").read_bytes() == (out / "report.json").read_bytes()
 
 
-def test_cli_truncated_scene_exits_4(tmp_path, pipeline_run):
+def eval_with_damaged_scene(tmp_path, pipeline_run, damage) -> int:
+    """Exit code of `rare-lens eval` on a copy of the run with its first scene damaged."""
     out, _, _ = pipeline_run
     cut = tmp_path / "cut"
     shutil.copytree(out, cut)
     scene = sorted((cut / "dataset" / "scenes").glob("*.bin"))[0]
-    scene.write_bytes(scene.read_bytes()[:-7])
+    scene.write_bytes(damage(scene.read_bytes()))
     cfg_path = tmp_path / "mini.json"
     cfg_path.write_text(json.dumps(MINI_DOC))
-    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(cut)]) == 4
+    return cli.main(["eval", "--config", str(cfg_path), "--out", str(cut)])
+
+
+def test_cli_truncated_scene_exits_4(tmp_path, pipeline_run):
+    assert eval_with_damaged_scene(tmp_path, pipeline_run, lambda raw: raw[:-7]) == 4
 
 
 def test_cli_scene_with_a_cut_magic_exits_4(tmp_path, pipeline_run):
+    assert eval_with_damaged_scene(tmp_path, pipeline_run, lambda raw: raw[:2]) == 4
+
+
+def test_cli_scene_with_a_flipped_version_exits_4(tmp_path, pipeline_run):
+    assert eval_with_damaged_scene(tmp_path, pipeline_run, flip_version) == 4
+
+
+@pytest.mark.parametrize("doc, args", [
+    ({"inference": {"k": "3"}}, []),
+    ({"dataset": {"n_classes": "six"}}, []),
+    ({"seed": -1}, []),
+    ({}, ["--seed", "-3"]),
+], ids=["k-string", "n_classes-string", "seed-negative", "seed-flag-negative"])
+def test_cli_malformed_config_exits_2(tmp_path, doc, args):
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert cli.main(["gen-data", "--config", str(cfg_path), "--out", str(out), *args]) == 2
+    assert not out.exists()
+
+
+def test_cli_probe_unknown_scene_exits_2(tmp_path, pipeline_run):
     out, _, _ = pipeline_run
-    cut = tmp_path / "cut"
-    shutil.copytree(out, cut)
-    scene = sorted((cut / "dataset" / "scenes").glob("*.bin"))[0]
-    scene.write_bytes(scene.read_bytes()[:2])
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
     cfg_path = tmp_path / "mini.json"
     cfg_path.write_text(json.dumps(MINI_DOC))
-    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(cut)]) == 4
+    argv = ["probe", "--config", str(cfg_path), "--out", str(run), "--scenes", "nosuch"]
+    assert cli.main(argv) == 2
+    assert not (run / "probe").exists()
 
 
 def test_cli_torn_report_reruns_eval(tmp_path, pipeline_run, monkeypatch):

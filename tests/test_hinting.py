@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from rare_lens import hinting as H
 from rare_lens import vlm as V
-from rare_lens.adapter import VisualTokenAdapter
+from rare_lens.adapter import AdapterConfig, VisualTokenAdapter
 from rare_lens.autodiff import Tensor
 from rare_lens.embeddings import ClassEmbeddingTable, init_heads
 from rare_lens.errors import ContractError, PairingError
@@ -113,25 +113,12 @@ def test_enrich_prompt_not_idempotent_by_design():
     assert twice == "q [Detected: a] [Detected: a]"
 
 
-def test_prompt_template_empty_render_is_byte_exact():
-    template = H.PromptTemplate("please describe the object inside the marked region .")
-    assert template.render([]) == template.prompt
-
-
 @pytest.fixture(scope="module")
 def inference_stack(mini_world, mini_fixture, mini_learner, mini_adapter):
     model, tokenizer, _ = mini_fixture
     learner, _ = mini_learner
     encoder = VisionEncoder.for_world(mini_world)
     return mini_world, encoder, learner, mini_adapter, model, tokenizer
-
-
-def test_detector_predict_shape(inference_stack):
-    world, encoder, learner, _, _, _ = inference_stack
-    det = H.ObjectDetector(k=2).bind(encoder, learner)
-    result = det.predict(world.grid(world.manifest.test_ids[0]))
-    assert len(result) == 2
-    assert det.get_params() == {"k": 2}
 
 
 def test_baseline_mode_matches_plain_generation_byte_for_byte(inference_stack):
@@ -149,7 +136,7 @@ def test_baseline_mode_matches_plain_generation_byte_for_byte(inference_stack):
 
 def test_identity_adapter_visual_mode_matches_baseline(inference_stack):
     world, encoder, learner, _, model, tokenizer = inference_stack
-    identity = VisualTokenAdapter(heads=2, epochs=0, seed=0)
+    identity = VisualTokenAdapter(AdapterConfig(heads=2, epochs=0), seed=0)
     identity.fit(world, learner.table_, model, tokenizer)
     meta = world.scenes("test")[1]
     grid = world.grid(meta.scene_id)
@@ -161,7 +148,7 @@ def test_identity_adapter_visual_mode_matches_baseline(inference_stack):
     )
     assert vis.generated == base.generated
     assert np.array_equal(
-        vis.refined.tokens,
+        vis.refined,
         V.connector(model, encoder.encode(grid)).array,
     )
 
@@ -194,7 +181,7 @@ def test_unknown_mode_and_adapter_pairing_errors(inference_stack):
     grid = world.grid(meta.scene_id)
     with pytest.raises(ContractError):
         H.detect_and_answer(meta, grid, encoder, learner, adapter, model, tokenizer, mode="wat")
-    stale = VisualTokenAdapter(heads=2, epochs=0, seed=0)
+    stale = VisualTokenAdapter(AdapterConfig(heads=2, epochs=0), seed=0)
     stale.fit(world, learner.table_, model, tokenizer)
     stale.table_crc_ = 424242
     with pytest.raises(PairingError):

@@ -241,18 +241,16 @@ def test_sequence_nll_uniform_logits_analytic():
     for t in model.weights.values():
         t.assign_(np.zeros(t.shape))
     seq = seq_of([1, 0, 1, 1], n_answer=2)
-    loss = V.sequence_nll(model, None, seq, supervise="answer")
+    loss = V.sequence_nll(model, None, seq)
     assert abs(loss.item() - 2 * np.log(2)) < 1e-12
 
 
 def test_sequence_nll_modes_and_empty_supervision():
     model = make_vlm()
     seq = seq_of([1, 2, 3, 4], n_answer=1)
-    answer_only = V.sequence_nll(model, None, seq, supervise="answer").item()
-    everything = V.sequence_nll(model, None, seq, supervise="all").item()
-    assert everything > answer_only > 0
+    assert V.sequence_nll(model, None, seq).item() > 0
     with pytest.raises(ContractError):
-        V.sequence_nll(model, None, seq_of([1, 2]), supervise="answer")
+        V.sequence_nll(model, None, seq_of([1, 2]))
 
 
 def test_attention_probe_zero_visual():

@@ -1,5 +1,7 @@
 """Benchmark generator, frozen encoders, and frequency-aware re-sampling."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -8,22 +10,24 @@ from hypothesis import strategies as st
 from rare_lens import world as w
 from rare_lens.errors import ChecksumError, ConfigError, ContractError
 
-SMALL = w.ImbalanceProfile(rare_count=0, rare_n=5, common_n=100, test_per_class=5)
-IMBALANCED = w.ImbalanceProfile(rare_count=2, rare_n=5, common_n=100, test_per_class=5)
+SMALL = w.DatasetConfig(n_classes=2, grid=4, d_v=16, d_t=16, rare_count=0, rare_n=5,
+                        common_n=100, test_per_class=5, alpha=4.0)
+IMBALANCED = w.DatasetConfig(n_classes=6, grid=5, d_v=24, d_t=24, rare_count=2, rare_n=5,
+                             common_n=100, test_per_class=5, alpha=4.0)
 
 
 @pytest.fixture(scope="module")
 def tiny_world():
-    return w.generate_dataset(2, 4, 16, SMALL, seed=7, d_t=16)
+    return w.generate_dataset(SMALL, seed=7)
 
 
 @pytest.fixture(scope="module")
 def imbalanced_world():
-    return w.generate_dataset(6, 5, 24, IMBALANCED, seed=3, d_t=24)
+    return w.generate_dataset(IMBALANCED, seed=3)
 
 
 def test_generation_is_deterministic(tiny_world):
-    again = w.generate_dataset(2, 4, 16, SMALL, seed=7, d_t=16)
+    again = w.generate_dataset(SMALL, seed=7)
     assert again.manifest.names == tiny_world.manifest.names
     for sid, grid in tiny_world.grids.items():
         assert np.array_equal(grid, again.grids[sid])
@@ -74,7 +78,7 @@ def test_linear_probe_oracle_on_train_split(imbalanced_world):
 
 
 def test_encode_vision_identity_config():
-    world = w.generate_dataset(2, 4, 16, SMALL, seed=7, d_t=16, vision_identity=True)
+    world = w.generate_dataset(dataclasses.replace(SMALL, vision_identity=True), seed=7)
     enc = w.VisionEncoder.for_world(world)
     sid = world.manifest.train_ids[0]
     grid = world.grid(sid)
@@ -215,20 +219,31 @@ def test_scene_file_round_trip(tmp_path, tiny_world):
     assert np.array_equal(w.read_scene(path), tiny_world.grid(sid))
 
 
-def test_truncated_scene_file_rejected(tmp_path, tiny_world):
+def flip_version(raw: bytes) -> bytes:
+    """Damage the u16 version field that follows the 4-byte magic."""
+    return raw[:4] + bytes([raw[4] ^ 0x07]) + raw[5:]
+
+
+def damaged_scene(tmp_path, world, damage):
     path = tmp_path / "scene.bin"
-    w.write_scene(path, tiny_world.grid(tiny_world.manifest.train_ids[0]))
-    path.write_bytes(path.read_bytes()[:-7])
+    w.write_scene(path, world.grid(world.manifest.train_ids[0]))
+    path.write_bytes(damage(path.read_bytes()))
+    return path
+
+
+def test_truncated_scene_file_rejected(tmp_path, tiny_world):
     with pytest.raises(ChecksumError, match="payload bytes"):
-        w.read_scene(path)
+        w.read_scene(damaged_scene(tmp_path, tiny_world, lambda raw: raw[:-7]))
 
 
 def test_scene_file_with_a_cut_magic_rejected(tmp_path, tiny_world):
-    path = tmp_path / "scene.bin"
-    w.write_scene(path, tiny_world.grid(tiny_world.manifest.train_ids[0]))
-    path.write_bytes(path.read_bytes()[:2])
     with pytest.raises(ChecksumError, match="bad scene magic"):
-        w.read_scene(path)
+        w.read_scene(damaged_scene(tmp_path, tiny_world, lambda raw: raw[:2]))
+
+
+def test_scene_file_with_a_flipped_version_rejected(tmp_path, tiny_world):
+    with pytest.raises(ChecksumError, match="unsupported scene version 6"):
+        w.read_scene(damaged_scene(tmp_path, tiny_world, flip_version))
 
 
 def test_dataset_save_load_round_trip(tmp_path, imbalanced_world):
