@@ -104,10 +104,6 @@ class VisualTokenAdapter:
         self.cfg = cfg
         self.seed = seed
 
-    def n_parameters(self) -> int:
-        check_is_fitted(self, "params_")
-        return sum(t.array.size for t in self.params_.values())
-
     def checksum(self) -> int:
         check_is_fitted(self, "params_")
         return weights_crc(self.params_)

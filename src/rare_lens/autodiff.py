@@ -278,15 +278,38 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 
 
 def gelu(a: Tensor) -> Tensor:
-    """tanh-form GELU; smooth everywhere, so finite differences stay clean."""
+    """tanh-form GELU; smooth everywhere, so finite differences stay clean.
+
+    Written with in-place ufuncs to spare temporaries; every product and sum
+    keeps the operand grouping of 0.5 x (1 + tanh(c x (1 + 0.044715 x^2))),
+    so the bits match the plain expression.
+    """
     x = a.array
     x2 = x * x
-    t = np.tanh(_GELU_C * x * (1.0 + 0.044715 * x2))
-    out = _out(0.5 * x * (1.0 + t))
+    t = np.multiply(x2, 0.044715)
+    t += 1.0
+    half_x = np.multiply(x, _GELU_C)  # c x here, 0.5 x once tanh is taken
+    t *= half_x
+    np.tanh(t, out=t)
+    np.multiply(x, 0.5, out=half_x)
+    y = t + 1.0
+    y *= half_x
+    out = _out(y)
 
     def vjp(g):
-        d_inner = _GELU_C * (1.0 + 0.134145 * x2)
-        return g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner)
+        # g * (0.5 (1 + t) + 0.5 x (1 - t^2) c (1 + 0.134145 x^2))
+        d_inner = np.multiply(x2, 0.134145)
+        d_inner += 1.0
+        d_inner *= _GELU_C
+        slope = t * t
+        np.subtract(1.0, slope, out=slope)
+        slope *= half_x
+        slope *= d_inner
+        r = t + 1.0
+        r *= 0.5
+        r += slope
+        r *= g
+        return r
 
     return _record(out, (a,), (vjp,))
 
@@ -418,13 +441,16 @@ def multihead_attention(
     z = np.exp(scores - scores.max(axis=2, keepdims=True))
     weights = z / z.sum(axis=2, keepdims=True)
     out = _out((weights @ vh).transpose(1, 0, 2).reshape(n, d))
+    memo: list = [None, None]  # backward hands vjp_q and vjp_k the same g
 
     def split_heads(g):
         return g.reshape(n, n_heads, dh).transpose(1, 0, 2)
 
     def grad_scores(g):
-        gw = split_heads(g) @ vh.transpose(0, 2, 1)
-        return weights * (gw - (weights * gw).sum(axis=2, keepdims=True))
+        if memo[0] is not g:
+            gw = split_heads(g) @ vh.transpose(0, 2, 1)
+            memo[:] = g, weights * (gw - (weights * gw).sum(axis=2, keepdims=True))
+        return memo[1]
 
     def vjp_q(g):
         return (scale * (grad_scores(g) @ kh)).transpose(1, 0, 2).reshape(n, d)
@@ -436,6 +462,107 @@ def multihead_attention(
         return (weights.transpose(0, 2, 1) @ split_heads(g)).transpose(1, 0, 2).reshape(m, d)
 
     return _record(out, (q, k, v), (vjp_q, vjp_k, vjp_v)), weights
+
+
+class SegmentPlan:
+    """Index plan for causal attention within segments of stacked rows.
+
+    Segment b is lengths[b] consecutive rows of the key block; they pad into
+    the slots [b, 0..lengths[b]) of a [B, L] grid, L the longest segment.
+    The query rows (every row by default, else the sorted stacked indices in
+    `queries`) pad the same way into [B, Lq]. A query sees the keys of its
+    own segment at or before its position; since it sits inside its
+    segment, that causal mask also hides every padded key. Padded query
+    slots see at least key 0, so they stay finite, and their outputs are
+    dropped. Build once per batch and reuse it for every layer.
+    """
+
+    def __init__(self, lengths: Sequence[int], queries: Sequence[int] | None = None):
+        lengths = np.asarray(lengths, dtype=np.intp)
+        if lengths.ndim != 1 or not lengths.size or (lengths < 1).any():
+            raise ShapeError(f"segment lengths must be positive, got {lengths.tolist()}")
+        self.n_segments = b = lengths.size
+        self.width = int(lengths.max())
+        self.n_rows = n = int(lengths.sum())
+        seg = np.repeat(np.arange(b), lengths)
+        pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
+        self.key_slots = seg * self.width + pos
+        if queries is None:
+            self.n_queries, self.query_width, self.query_slots = n, self.width, self.key_slots
+            slot_pos = np.arange(b * self.width) % self.width
+        else:
+            q = np.asarray(queries, dtype=np.intp)
+            if q.ndim != 1 or not q.size or q[0] < 0 or q[-1] >= n or (np.diff(q) <= 0).any():
+                raise ShapeError(f"queries must be increasing row indices below {n}")
+            counts = np.bincount(seg[q], minlength=b)
+            self.n_queries, self.query_width = q.size, int(counts.max())
+            rank = np.arange(q.size) - np.repeat(np.cumsum(counts) - counts, counts)
+            self.query_slots = seg[q] * self.query_width + rank
+            slot_pos = np.zeros(b * self.query_width, dtype=np.intp)
+            slot_pos[self.query_slots] = pos[q]
+        mask = np.where(np.arange(self.width) > slot_pos[:, None], -np.inf, 0.0)
+        # [B, 1, Lq, L], broadcast over heads.
+        self.mask = mask.reshape(b, 1, self.query_width, self.width)
+
+
+def segment_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, plan: SegmentPlan) -> Tensor:
+    """Causal multi-head attention within each segment of stacked rows.
+
+    q is [plan.n_queries, d]; k and v are [plan.n_rows, d]; the result is
+    [plan.n_queries, d]. One tape entry: rows are padded to [B, H, L, dh]
+    inside and gathered back, and each query row equals that row of
+    multihead_attention(causal=True) over its own segment up to rounding.
+    """
+    n, d = q.shape
+    if d % n_heads:
+        raise ShapeError(f"head count {n_heads} must divide width {d}")
+    if n != plan.n_queries or k.shape != (plan.n_rows, d) or v.shape != k.shape:
+        raise ShapeError(
+            f"segment attention shapes differ from the plan: q {q.shape}, k {k.shape}, "
+            f"v {v.shape}, plan {plan.n_queries} queries over {plan.n_rows} rows"
+        )
+    b, dh = plan.n_segments, d // n_heads
+    scale = 1.0 / np.sqrt(dh)
+    q_slots, q_width = plan.query_slots, plan.query_width
+    k_slots, k_width = plan.key_slots, plan.width
+
+    def pad(rows, slots, width):  # [r, d] -> [B, H, width, dh]
+        if slots.size == b * width:  # no slot is padding
+            grid = rows
+        else:
+            grid = np.zeros((b * width, d))
+            grid[slots] = rows
+        return grid.reshape(b, width, n_heads, dh).transpose(0, 2, 1, 3)
+
+    def unpad(heads, slots, width):  # [B, H, width, dh] -> [r, d]
+        rows = heads.transpose(0, 2, 1, 3).reshape(b * width, d)
+        return rows if slots.size == b * width else rows[slots]
+
+    qh = pad(q.array, q_slots, q_width)
+    kh, vh = pad(k.array, k_slots, k_width), pad(v.array, k_slots, k_width)
+    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
+    scores += plan.mask
+    z = np.exp(scores - scores.max(axis=3, keepdims=True))
+    weights = z / z.sum(axis=3, keepdims=True)
+    out = _out(unpad(weights @ vh, q_slots, q_width))
+    memo: list = [None, None]  # backward hands vjp_q and vjp_k the same g
+
+    def grad_scores(g):
+        if memo[0] is not g:
+            gw = pad(g, q_slots, q_width) @ vh.transpose(0, 1, 3, 2)
+            memo[:] = g, weights * (gw - (weights * gw).sum(axis=3, keepdims=True))
+        return memo[1]
+
+    def vjp_q(g):
+        return unpad(scale * (grad_scores(g) @ kh), q_slots, q_width)
+
+    def vjp_k(g):
+        return unpad(scale * (grad_scores(g).transpose(0, 1, 3, 2) @ qh), k_slots, k_width)
+
+    def vjp_v(g):
+        return unpad(weights.transpose(0, 1, 3, 2) @ pad(g, q_slots, q_width), k_slots, k_width)
+
+    return _record(out, (q, k, v), (vjp_q, vjp_k, vjp_v))
 
 
 # ---------------------------------------------------------------------------

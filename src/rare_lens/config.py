@@ -79,13 +79,19 @@ def _build(cls, doc: dict, path: str):
     for name, value in doc.items():
         where = f"{path}.{name}" if path else name
         section = known[name].default_factory  # a nested config class, or MISSING
+        kind = type(known[name].default)
         if is_dataclass(section):
             kwargs[name] = _build(section, value, where)
-        elif _fits(value, type(known[name].default)):
-            kwargs[name] = value
+        elif not _fits(value, kind):
+            raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+        elif kind is float:
+            # Stored as a float, so 1 and 1.0 give equal configs and equal hashes.
+            try:
+                kwargs[name] = float(value)
+            except OverflowError:
+                raise ConfigError(f"{where}: {value!r} is out of range for a float") from None
         else:
-            kind = type(known[name].default).__name__
-            raise ConfigError(f"{where}: expected {kind}, got {value!r}")
+            kwargs[name] = value
     try:
         return cls(**kwargs)
     except ValueError as exc:  # a section's own check, e.g. VLMConfig's

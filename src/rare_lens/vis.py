@@ -6,8 +6,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ContractError
-
 
 def quantize(values: np.ndarray, maxval: int = 255) -> np.ndarray:
     """Linear map of a float matrix onto integer gray levels [0, maxval]."""
@@ -29,15 +27,6 @@ def write_pgm(path, values: np.ndarray, maxval: int = 255) -> np.ndarray:
     return gray
 
 
-def read_pgm(path) -> np.ndarray:
-    tokens = Path(path).read_text().split()
-    if tokens[0] != "P2":
-        raise ContractError(f"{path}: not an ASCII PGM file")
-    cols, rows = int(tokens[1]), int(tokens[2])
-    data = np.array([int(t) for t in tokens[4 : 4 + rows * cols]], dtype=np.int64)
-    return data.reshape(rows, cols)
-
-
 def write_csv(path, header: list[str], rows: list[list]) -> None:
     import csv
 
@@ -45,14 +34,6 @@ def write_csv(path, header: list[str], rows: list[list]) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
-
-
-def read_csv_matrix(path) -> np.ndarray:
-    import csv
-
-    with open(path, newline="") as fh:
-        rows = [[float(x) for x in row] for row in csv.reader(fh) if row]
-    return np.array(rows)
 
 
 def write_csv_matrix(path, matrix: np.ndarray) -> None:

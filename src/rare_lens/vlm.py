@@ -122,6 +122,8 @@ class VLMConfig:
     d_v: int = 32
 
     def __post_init__(self):
+        if self.layers < 1:
+            raise ContractError("a decoder needs at least one layer")
         if self.dim % self.heads:
             raise ContractError("head count must divide dim")
 
@@ -199,6 +201,26 @@ class ForwardResult:
     kv: KVCache  # past plus this call's rows; pass it back as `past` to continue
 
 
+def _decoder_layer(w: dict[str, Tensor], i: int, x: Tensor, attend, rows=None) -> Tensor:
+    """Pre-norm decoder layer i over the stacked rows x; returns the new rows.
+
+    attend(i, q, k, v) mixes the query rows over the key and value rows.
+    With `rows`, only those rows of x pass through the query, attention
+    output and FFN (K and V still use every row), and only they come back.
+    """
+    hnorm = ad.rmsnorm_rows(x)
+    if rows is not None:
+        x, hq = ad.gather_rows(x, rows), ad.gather_rows(hnorm, rows)
+    else:
+        hq = hnorm
+    q = ad.matmul(hq, w[f"layer{i}.wq"])
+    k = ad.matmul(hnorm, w[f"layer{i}.wk"])
+    v = ad.matmul(hnorm, w[f"layer{i}.wv"])
+    x = ad.add(x, ad.matmul(attend(i, q, k, v), w[f"layer{i}.wo"]))
+    fnorm = ad.rmsnorm_rows(x)
+    return ad.add(x, ad.matmul(ad.gelu(ad.matmul(fnorm, w[f"layer{i}.w1"])), w[f"layer{i}.w2"]))
+
+
 def forward(
     vlm: VLM, visual: Tensor | None, seq: TokenSequence, past: KVCache | None = None
 ) -> ForwardResult:
@@ -230,39 +252,99 @@ def forward(
         x = visual if visual is not None else text
     x = ad.add(x, ad.gather_rows(w["wpe"], list(range(start, start + n))))
 
-    hiddens = [x]
     attentions: list[np.ndarray] = []
     kv: KVCache = []
-    for i in range(cfg.layers):
-        hnorm = ad.rmsnorm_rows(x)
-        q = ad.matmul(hnorm, w[f"layer{i}.wq"])
-        k = ad.matmul(hnorm, w[f"layer{i}.wk"])
-        v = ad.matmul(hnorm, w[f"layer{i}.wv"])
+
+    def attend(i, q, k, v):
         if past is not None:
             k = ad.concat_rows([past[i][0], k])
             v = ad.concat_rows([past[i][1], v])
-        attn_out, attn_w = ad.multihead_attention(q, k, v, cfg.heads, causal=True)
-        x = ad.add(x, ad.matmul(attn_out, w[f"layer{i}.wo"]))
-        fnorm = ad.rmsnorm_rows(x)
-        x = ad.add(x, ad.matmul(ad.gelu(ad.matmul(fnorm, w[f"layer{i}.w1"])), w[f"layer{i}.w2"]))
-        hiddens.append(x)
-        attentions.append(attn_w)
+        out, weights = ad.multihead_attention(q, k, v, cfg.heads, causal=True)
         kv.append((k, v))
+        attentions.append(weights)
+        return out
 
-    logits = ad.matmul(x, vlm.head_tensor())
+    hiddens = [x]
+    for i in range(cfg.layers):
+        hiddens.append(_decoder_layer(w, i, hiddens[-1], attend))
+    logits = ad.matmul(hiddens[-1], vlm.head_tensor())
     return ForwardResult(logits, hiddens, attentions, m, kv)
 
 
-def sequence_nll(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> Tensor:
-    """Summed next-token negative log-likelihood of the answer-region targets."""
+def batch_nll(vlm: VLM, visual: Tensor | None, seqs: list[TokenSequence]) -> Tensor:
+    """Summed answer-region next-token NLL of a batch of sequences, one pass.
+
+    `visual` stacks the visual rows of every sequence in batch order
+    ([sum of n_visual, dim]), or is None when no sequence has any. Each
+    tape entry holds the rows of all sequences stacked [sum of lengths,
+    dim]; attention stays within each sequence (ad.segment_attention),
+    and the last layer runs its query, attention output, FFN and the head
+    only on the rows that predict an answer token. Equals the sum of
+    per-sequence forwards up to float rounding.
+    """
+    cfg = vlm.config
+    w = vlm.weights
+    if not seqs:
+        raise ContractError("empty batch")
+    n_visual = [s.n_visual for s in seqs]
+    m = 0 if visual is None else visual.shape[0]
+    if m != sum(n_visual):
+        raise ContractError(f"batch declares {sum(n_visual)} visual rows, got {m}")
+    lengths = [len(s.ids) for s in seqs]
+    if max(lengths) > cfg.context:
+        raise ContractError(f"sequence length {max(lengths)} exceeds context {cfg.context}")
+    # Row r of the stacked batch reads row source[r] of [visual; wte].
+    source, rows, targets = [], [], []
+    vis_start = row_start = 0
+    for seq, nv, n in zip(seqs, n_visual, lengths):
+        answers = seq.answer_positions()
+        if not answers:
+            raise ContractError("no supervised positions in sequence")
+        if answers[0] == 0:
+            raise ContractError("an answer at position 0 has no row to predict it")
+        source.extend(range(vis_start, vis_start + nv))
+        source.extend(m + t for t in seq.text_ids)
+        rows.extend(row_start + p - 1 for p in answers)
+        targets.extend(seq.ids[p] for p in answers)
+        vis_start += nv
+        row_start += n
+    table = w["wte"] if visual is None else ad.concat_rows([visual, w["wte"]])
+    positions = [p for n in lengths for p in range(n)]
+    x = ad.add(ad.gather_rows(table, source), ad.gather_rows(w["wpe"], positions))
+
+    last = cfg.layers - 1
+    every_row, answer_rows = ad.SegmentPlan(lengths), ad.SegmentPlan(lengths, rows)
+
+    def attend(i, q, k, v):
+        return ad.segment_attention(q, k, v, cfg.heads, answer_rows if i == last else every_row)
+
+    for i in range(cfg.layers):
+        x = _decoder_layer(w, i, x, attend, rows if i == last else None)
+    logprobs = ad.log_softmax_rows(ad.matmul(x, vlm.head_tensor()))
+    picked = ad.gather_elements(logprobs, range(len(rows)), targets)
+    return ad.scale(ad.sum_all(picked), -1.0)
+
+
+def _unpruned_nll(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> Tensor:
+    """sequence_nll through one full forward: every row reaches the head.
+
+    The fixture's training step keeps this path. Batching or pruning the
+    step changes how its gradients round, and the trained fixture then
+    drifts far enough that acceptance criterion 8 at seed 0, decided by
+    one lens rank, no longer holds.
+    """
     targets = seq.answer_positions()
-    if not targets:
-        raise ContractError("no supervised positions in sequence")
-    result = forward(vlm, visual, seq)
-    logprobs = ad.log_softmax_rows(result.logits)
-    rows = [p - 1 for p in targets]
-    cols = [seq.ids[p] for p in targets]
-    return ad.scale(ad.sum_all(ad.gather_elements(logprobs, rows, cols)), -1.0)
+    logprobs = ad.log_softmax_rows(forward(vlm, visual, seq).logits)
+    picked = ad.gather_elements(logprobs, [p - 1 for p in targets], [seq.ids[p] for p in targets])
+    return ad.scale(ad.sum_all(picked), -1.0)
+
+
+def sequence_nll(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> Tensor:
+    """Summed next-token negative log-likelihood of the answer-region targets.
+
+    A batch of one through batch_nll, so only the answer rows reach the head.
+    """
+    return batch_nll(vlm, visual, [seq])
 
 
 def generate(
@@ -420,9 +502,14 @@ def pretrain_fixture(
     ]
 
     def eval_mean_nll() -> float:
-        return float(
-            np.mean([sequence_nll(vlm, connector(vlm, f), s).item() for f, s in sequences])
-        )
+        # Outside a tape, in chunks of one training batch.
+        n, b = len(sequences), cfg.batch_scenes
+        total = 0.0
+        for s in range(0, n, b):
+            chunk = sequences[s : s + b]
+            visual = connector(vlm, np.concatenate([feats for feats, _ in chunk]))
+            total += batch_nll(vlm, visual, [seq for _, seq in chunk]).item()
+        return total / n
 
     optimizer = AdamW(vlm.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
     guard = MonotoneGuard(optimizer)
@@ -437,7 +524,7 @@ def pretrain_fixture(
                 losses = []
                 for j in batch:
                     feats, seq = sequences[j]
-                    losses.append(sequence_nll(vlm, connector(vlm, feats), seq))
+                    losses.append(_unpruned_nll(vlm, connector(vlm, feats), seq))
                 loss = ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
             optimizer.step(backward(loss, tape))
         guard.accept(eval_mean_nll())

@@ -338,27 +338,17 @@ def crop_and_pool(
 class TextEncoder:
     """Frozen surrogate CLIP text encoder over a class-anchored word table.
 
-    Words that belong to a class pool embed near that class's latent anchor;
-    all other words get a hash-seeded noise row. Phrase embedding is the mean
-    of word rows, unit-normalized.
+    Words that belong to a class pool embed at their class's latent anchor
+    plus half a hash-seeded noise row; all other words get the noise row.
+    Phrase embedding is the mean of word rows, unit-normalized.
     """
 
-    def __init__(
-        self,
-        d_t: int,
-        seed: int,
-        word_class: dict[str, int],
-        n_classes: int,
-        anchor_weight: float = 1.0,
-        noise_weight: float = 0.5,
-    ):
+    def __init__(self, d_t: int, seed: int, word_class: dict[str, int], n_classes: int):
         self.d_t = d_t
         self.seed = seed
         self.word_class = dict(word_class)
         rng = np.random.default_rng(np.random.SeedSequence([seed, 7747]))
         self.anchors = np.stack([_unit(rng.normal(size=d_t)) for _ in range(n_classes)])
-        self.anchor_weight = anchor_weight
-        self.noise_weight = noise_weight
 
     @classmethod
     def for_world(cls, world: World) -> "TextEncoder":
@@ -376,7 +366,7 @@ class TextEncoder:
         cid = self.word_class.get(word)
         if cid is None:
             return eta
-        return _unit(self.anchor_weight * self.anchors[cid] + self.noise_weight * eta)
+        return _unit(self.anchors[cid] + 0.5 * eta)
 
     def encode(self, phrase: str) -> np.ndarray:
         words = phrase.lower().split()

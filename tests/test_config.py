@@ -82,11 +82,22 @@ def test_to_dict_contains_all_sections():
 def test_scalar_types_checked_against_defaults():
     cfg = config_from_dict({"embeddings": {"lr": 1}, "dataset": {"vision_identity": True}})
     assert cfg.embeddings.lr == 1 and cfg.dataset.vision_identity is True
+    with pytest.raises(ConfigError, match="out of range"):
+        config_from_dict({"embeddings": {"lr": 10**400}})
     for doc in ({"inference": {"k": True}}, {"inference": {"k": 3.0}},
                 {"embeddings": {"lr": False}}, {"inference": {"mode": 3}},
                 {"dataset": {"vision_identity": 1}}):
         with pytest.raises(ConfigError, match="expected"):
             config_from_dict(doc)
+
+
+def test_int_for_a_float_field_hashes_like_the_float():
+    as_int = config_from_dict({"embeddings": {"lr": 1}})
+    as_float = config_from_dict({"embeddings": {"lr": 1.0}})
+    assert isinstance(as_int.embeddings.lr, float)
+    assert config_hash(as_int.embeddings) == config_hash(as_float.embeddings)
+    assert config_hash(as_int) == config_hash(as_float)
+    assert config_to_dict(as_int) == config_to_dict(as_float)
 
 
 def test_adapter_heads_must_divide_decoder_dim():

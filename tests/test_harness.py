@@ -1,15 +1,21 @@
 """Pipeline staging, resume identity, reports, probes, CLI exit codes."""
 
+import csv
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rare_lens
 from rare_lens import ckpt, cli
 from rare_lens.config import config_from_dict
 from rare_lens.harness import ablation_sweep, evaluate, probe_report, report_params, run_pipeline
-from rare_lens.vis import quantize, read_csv_matrix, read_pgm
+from rare_lens.vis import quantize
 from test_world import flip_version
 
 MINI_DOC = {
@@ -27,6 +33,19 @@ MINI_DOC = {
     "adapter": {"heads": 2, "epochs": 2, "per_class_cap": 6},
     "inference": {"k": 2},
 }
+
+
+def read_pgm(path) -> np.ndarray:
+    tokens = Path(path).read_text().split()
+    assert tokens[0] == "P2", f"{path}: not an ASCII PGM file"
+    cols, rows = int(tokens[1]), int(tokens[2])
+    data = np.array([int(t) for t in tokens[4 : 4 + rows * cols]], dtype=np.int64)
+    return data.reshape(rows, cols)
+
+
+def read_csv_matrix(path) -> np.ndarray:
+    with open(path, newline="") as fh:
+        return np.array([[float(x) for x in row] for row in csv.reader(fh) if row])
 
 
 def mini_config():
@@ -386,3 +405,26 @@ def test_cli_gate_failure_exit_code(tmp_path):
     cfg_path = tmp_path / "gate.json"
     cfg_path.write_text(json.dumps(doc))
     assert cli.main(["pretrain-vlm", "--config", str(cfg_path), "--out", str(tmp_path / "g")]) == 3
+
+
+def test_run_directory_identical_at_one_and_two_blas_threads(tmp_path):
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_DOC))
+    src = str(Path(rare_lens.__file__).resolve().parents[1])
+    runs = {}
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
+               "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
+        out = tmp_path / f"threads{threads}"
+        cmd = [sys.executable, "-m", "rare_lens.cli", "eval", "--config", str(cfg_path),
+               "--out", str(out)]
+        runs[out] = subprocess.Popen(cmd, env=env, stderr=subprocess.PIPE)
+    for out, proc in runs.items():
+        _, err = proc.communicate(timeout=600)
+        assert proc.returncode == 0, err.decode()
+    one, two = runs
+    files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
+    assert {"vlm.ckpt", "classes.ckpt", "adapter.ckpt", "report.json"} <= {str(p) for p in files}
+    for rel in files:
+        assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel

@@ -1,5 +1,7 @@
 """Frozen toy VLM: tokenizer, causal forward, generation, probes, fixture."""
 
+import functools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from rare_lens import vlm as V
 from rare_lens import world as w
 from rare_lens.autodiff import Tensor
 from rare_lens.errors import ContractError, GateError
+from rare_lens.optim import AdamW
 
 RNG = np.random.default_rng(11)
 
@@ -251,6 +254,96 @@ def test_sequence_nll_modes_and_empty_supervision():
     assert V.sequence_nll(model, None, seq).item() > 0
     with pytest.raises(ContractError):
         V.sequence_nll(model, None, seq_of([1, 2]))
+
+
+def random_batch(rng, shapes, vocab=11, d_v=8):
+    """(visual rows per sequence, sequences) for (length, n_visual, n_answer) shapes."""
+    seqs = [seq_of(rng.integers(0, vocab, size=n).tolist(), nv, na) for n, nv, na in shapes]
+    visuals = [Tensor(rng.normal(size=(nv, d_v)), requires_grad=True) for _, nv, _ in shapes]
+    return visuals, seqs
+
+
+def batch_and_oracle(model, visuals, seqs):
+    params = model.parameters() + visuals
+    with ad.GradTape() as tape:
+        stacked = [v for v in visuals if v.shape[0]]
+        batched = V.batch_nll(model, ad.concat_rows(stacked) if stacked else None, seqs)
+    got = ad.backward(batched, tape)
+    with ad.GradTape() as tape:
+        parts = [V._unpruned_nll(model, v if v.shape[0] else None, s)
+                 for v, s in zip(visuals, seqs)]
+        summed = functools.reduce(ad.add, parts)
+    want = ad.backward(summed, tape)
+    zero = np.zeros(())
+    grad_err = max(
+        np.abs(got.get(p.id, zero) - want.get(p.id, zero)).max()
+        / max(1.0, np.abs(want.get(p.id, zero)).max())
+        for p in params
+    )
+    return batched.item(), summed.item(), grad_err
+
+
+@pytest.mark.parametrize("shapes", [
+    [(9, 3, 2), (14, 3, 1), (6, 0, 2), (11, 4, 3), (7, 2, 2)],  # mixed lengths
+    [(12, 4, 2)],  # a batch of one
+    [(8, 3, 2)] * 4,  # equal lengths: no padding
+])
+def test_batch_nll_matches_per_sequence_oracle(shapes):
+    rng = np.random.default_rng(len(shapes))
+    model = make_vlm(layers=3, heads=2, dim=8, ffn=16, seed=len(shapes))
+    visuals, seqs = random_batch(rng, shapes)
+    batched, summed, grad_err = batch_and_oracle(model, visuals, seqs)
+    assert abs(batched - summed) <= 1e-12 * abs(summed)
+    assert grad_err <= 1e-10
+    with pytest.raises(ContractError):  # every batch here has visual rows
+        V.batch_nll(model, None, seqs)
+    with pytest.raises(ContractError):
+        V.batch_nll(model, None, [])
+    with pytest.raises(ContractError):
+        V.batch_nll(model, None, [seq_of([1, 2, 3], n_answer=1), seq_of([4, 5], n_answer=2)])
+
+
+def test_pruned_last_layer_gives_forward_target_logprobs():
+    model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+    m = 3
+    ids = [0] * m + [4, 2, 7, 1, 9, 3]
+    visual = Tensor(RNG.normal(size=(m, 8)))
+    logprobs = ad.log_softmax_rows(V.forward(model, visual, seq_of(ids, n_visual=m)).logits).array
+    for p in range(m + 1, len(ids)):
+        roles = [V.Role.VISUAL] * m + [V.Role.PROMPT] * (len(ids) - m)
+        roles[p] = V.Role.ANSWER
+        nll = V.sequence_nll(model, visual, V.TokenSequence(ids, roles)).item()
+        assert abs(-nll - logprobs[p - 1, ids[p]]) < 1e-12
+
+
+def test_batched_training_steps_match_the_per_sequence_loop():
+    """Two AdamW steps on batch_nll land where the old one-forward-per-sequence loop does."""
+    rng = np.random.default_rng(4)
+    shapes = [(9, 3, 2), (13, 3, 2), (10, 3, 1)]
+    features = [rng.normal(size=(nv, 8)) for _, nv, _ in shapes]
+    _, seqs = random_batch(rng, shapes)
+    trained = []
+    for batched in (True, False):
+        model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+        optimizer = AdamW(model.parameters(), lr=2e-3)
+        for _ in range(2):
+            with ad.GradTape() as tape:
+                if batched:
+                    loss = V.batch_nll(model, V.connector(model, np.concatenate(features)), seqs)
+                else:
+                    losses = [V._unpruned_nll(model, V.connector(model, f), s)
+                              for f, s in zip(features, seqs)]
+                    loss = functools.reduce(ad.add, losses)
+                loss = ad.scale(loss, 1.0 / len(seqs))
+            optimizer.step(ad.backward(loss, tape))
+        trained.append(model.weights)
+    for name, t in trained[0].items():
+        assert np.abs(t.array - trained[1][name].array).max() < 1e-10, name
+
+
+def test_vlm_config_needs_a_layer():
+    with pytest.raises(ContractError):
+        V.VLMConfig(layers=0)
 
 
 def test_attention_probe_zero_visual():
