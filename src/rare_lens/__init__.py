@@ -7,7 +7,7 @@ names into the prompt — all without touching the decoder's weights.
 """
 
 from .adapter import AdapterConfig, VisualTokenAdapter, adapt, autoreg_loss, rec_loss
-from .autodiff import GradTape, Tensor, backward, cosine, grad_check, matmul, softmax_rows
+from .autodiff import GradTape, Tensor, backward, grad_check, matmul, softmax_rows
 from .config import ExperimentConfig, load_config, save_config
 from .embeddings import (
     ClassEmbeddingLearner,
@@ -28,7 +28,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AdapterConfig", "VisualTokenAdapter", "adapt", "autoreg_loss", "rec_loss",
-    "GradTape", "Tensor", "backward", "cosine", "grad_check", "matmul", "softmax_rows",
+    "GradTape", "Tensor", "backward", "grad_check", "matmul", "softmax_rows",
     "ExperimentConfig", "load_config", "save_config",
     "ClassEmbeddingLearner", "ClassEmbeddingTable", "EmbeddingConfig", "align_loss", "class_loss",
     "ema_update", "init_class_embeddings", "train_class_embeddings",

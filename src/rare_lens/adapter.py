@@ -14,12 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradTape, Tensor, backward
+from .autodiff import Tensor
 from .base import check_is_fitted, check_matrix
 from .ckpt import round_f32, weights_crc
 from .embeddings import ClassEmbeddingTable
 from .errors import PairingError, ShapeError
-from .optim import AdamW
+from .optim import AdamW, train_epochs
 from .vlm import VLM, TokenSequence, Tokenizer, build_qa, connector, sequence_nll
 from .world import VisionEncoder, World
 
@@ -151,29 +151,29 @@ class VisualTokenAdapter:
             seq = build_qa(tokenizer, v.shape[0], meta.question, meta.answer)
             examples.append((v, seq))
 
+        rec_sum = auto_sum = 0.0
+
+        def batch_loss(batch) -> Tensor:
+            nonlocal rec_sum, auto_sum
+            v_arr, seq = examples[batch[0]]
+            v = Tensor(v_arr)
+            refined, _ = adapt(v, table.w, params, cfg.heads)
+            l_rec = rec_loss(v, refined)
+            l_auto = autoreg_loss(refined, seq, vlm)
+            rec_sum += l_rec.item()
+            auto_sum += l_auto.item()
+            return ad.add(
+                ad.scale(l_rec, cfg.rec_weight), ad.scale(l_auto, cfg.autoreg_weight)
+            )
+
         optimizer = AdamW(list(params.values()), lr=cfg.lr, weight_decay=cfg.weight_decay)
         history = []
-        for epoch in range(cfg.epochs):
-            order = rng.permutation(len(examples))
-            rec_sum = auto_sum = 0.0
-            for j in order:
-                v_arr, seq = examples[j]
-                with GradTape() as tape:
-                    v = Tensor(v_arr)
-                    refined, _ = adapt(v, table.w, params, cfg.heads)
-                    l_rec = rec_loss(v, refined)
-                    l_auto = autoreg_loss(refined, seq, vlm)
-                    loss = ad.add(
-                        ad.scale(l_rec, cfg.rec_weight),
-                        ad.scale(l_auto, cfg.autoreg_weight),
-                    )
-                optimizer.step(backward(loss, tape))
-                rec_sum += l_rec.item()
-                auto_sum += l_auto.item()
+        for epoch in train_epochs(optimizer, rng, len(examples), 1, cfg.epochs, batch_loss):
             history.append(
                 {"epoch": epoch, "rec": rec_sum / len(examples),
                  "autoreg": auto_sum / len(examples)}
             )
+            rec_sum = auto_sum = 0.0
 
         if vlm.checksum() != vlm_before:
             raise PairingError("frozen-contract violation: decoder weights moved")

@@ -366,20 +366,6 @@ def log_softmax_rows(x: Tensor) -> Tensor:
 # ---------------------------------------------------------------------------
 
 
-def cosine(a: Tensor, b: Tensor) -> float:
-    """Cosine similarity of two vectors, clamped to [-1, 1].
-
-    Plain real result; the differentiable path is cosine_matrix.
-    """
-    va, vb = a.array.reshape(-1), b.array.reshape(-1)
-    if va.shape != vb.shape:
-        raise ShapeError(f"cosine: shapes {a.shape} and {b.shape} differ")
-    na, nb = np.linalg.norm(va), np.linalg.norm(vb)
-    if na == 0.0 or nb == 0.0:
-        raise DegenerateVectorError("cosine undefined for zero-norm input")
-    return float(np.clip(va @ vb / (na * nb), -1.0, 1.0))
-
-
 def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
     """All-pairs cosine: a [n, d] x b [t, d] -> [n, t], differentiable."""
     if a.array.ndim != 2 or b.array.ndim != 2 or a.shape[1] != b.shape[1]:

@@ -1,4 +1,4 @@
-"""Estimator input validation helpers.
+"""Input validation helpers: estimator inputs and stored JSON artifacts.
 
 The learnable components follow the familiar fit/transform/predict shape:
 each takes its config section and a seed, and fitted state lands in
@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import NotFittedError, ShapeError
+from .errors import ArtifactError, NotFittedError, ShapeError
 
 
 def check_is_fitted(estimator, attribute: str) -> None:
@@ -36,3 +36,14 @@ def check_labels(y, name: str, n_classes: int) -> np.ndarray:
     if arr.size and (arr.min() < 0 or arr.max() >= n_classes):
         raise ShapeError(f"{name} labels must lie in [0, {n_classes})")
     return arr
+
+
+def json_object(doc, what: str, *keys: str) -> dict:
+    """Return a parsed JSON value if it is an object holding every key.
+
+    Anything else raises ArtifactError, which run_pipeline treats like a
+    torn file: the artifact's stage and everything downstream rebuild.
+    """
+    if not isinstance(doc, dict) or not set(keys) <= doc.keys():
+        raise ArtifactError(f"{what}: expected a JSON object with keys {list(keys)}")
+    return doc

@@ -11,16 +11,16 @@ path.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradTape, Tensor, backward
+from .autodiff import Tensor
 from .base import check_is_fitted, check_labels, check_matrix
 from .ckpt import round_f32, weights_crc
 from .errors import ConfigError, ContractError, GateError
-from .optim import AdamW, MonotoneGuard
+from .optim import AdamW, MonotoneGuard, train_epochs
 from .world import TextEncoder, VisionEncoder, World, adaptive_resample, crop_and_pool
 
 
@@ -69,15 +69,11 @@ class ClassEmbeddingTable:
     w: Tensor
     class_names: list[str]
     kappa: float
-    update_counts: np.ndarray = field(default=None)
     pair_token: int | None = None
-    degenerate_init: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if not 0.0 <= self.kappa <= 1.0:
             raise ContractError("kappa must lie in [0, 1]")
-        if self.update_counts is None:
-            self.update_counts = np.zeros(self.w.shape[0], dtype=np.int64)
 
     @property
     def n_classes(self) -> int:
@@ -92,8 +88,8 @@ def init_class_embeddings(
 ) -> ClassEmbeddingTable:
     """Prototype c starts as the mean projected visual feature of class c.
 
-    A class whose mean collapses to (near) zero norm is flagged and nudged by
-    seeded 1e-6 noise so downstream cosines stay defined.
+    A class whose mean collapses to (near) zero norm is nudged by seeded 1e-6
+    noise so downstream cosines stay defined.
     """
     n_classes = len(class_names)
     missing = [c for c in range(n_classes) if c not in projected_by_class
@@ -102,16 +98,12 @@ def init_class_embeddings(
         raise ContractError(f"classes without visual samples: {missing}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 1131]))
     rows = []
-    degenerate = []
     for c in range(n_classes):
         mean = np.asarray(projected_by_class[c], dtype=np.float64).mean(axis=0)
         if np.linalg.norm(mean) < 1e-9:
-            degenerate.append(c)
             mean = mean + 1e-6 * rng.normal(size=mean.shape)
         rows.append(mean)
-    return ClassEmbeddingTable(
-        Tensor(np.stack(rows)), list(class_names), kappa, degenerate_init=degenerate
-    )
+    return ClassEmbeddingTable(Tensor(np.stack(rows)), list(class_names), kappa)
 
 
 def ema_update(
@@ -119,14 +111,9 @@ def ema_update(
 ) -> ClassEmbeddingTable:
     """w_c <- kappa * w_c + (1 - kappa) * mean_c; absent classes unchanged."""
     w = table.w.array.copy()
-    counts = table.update_counts.copy()
     for c, mean in class_means.items():
         w[c] = table.kappa * w[c] + (1.0 - table.kappa) * np.asarray(mean)
-        counts[c] += 1
-    return ClassEmbeddingTable(
-        Tensor(w), table.class_names, table.kappa, counts,
-        table.pair_token, list(table.degenerate_init),
-    )
+    return ClassEmbeddingTable(Tensor(w), table.class_names, table.kappa, table.pair_token)
 
 
 # ---------------------------------------------------------------------------
@@ -250,12 +237,6 @@ class ClassEmbeddingLearner:
         zt_t = Tensor(zt)
         history: list[dict] = []
 
-        def batches():
-            order = rng.permutation(zv.shape[0])
-            step = min(cfg.batch_size, zv.shape[0])
-            for start in range(0, len(order), step):
-                yield order[start : start + step]
-
         def eval_align() -> float:
             return align_loss(
                 heads.project_visual(zv), heads.project_text(zt_t), positives
@@ -272,18 +253,15 @@ class ClassEmbeddingLearner:
             return float(np.mean(np.argmax(h @ w.T, axis=1) == yv))
 
         # Phase 1: cross-modal alignment only.
-        guard = MonotoneGuard(optimizer)
-        guard.best = eval_align()
-        for epoch in range(cfg.epochs_align):
-            guard.snapshot()
-            for idx in batches():
-                with GradTape() as tape:
-                    loss = align_loss(
-                        heads.project_visual(zv[idx]),
-                        heads.project_text(zt_t),
-                        positives[idx],
-                    )
-                optimizer.step(backward(loss, tape))
+        def align_batch(idx) -> Tensor:
+            return align_loss(
+                heads.project_visual(zv[idx]), heads.project_text(zt_t), positives[idx]
+            )
+
+        guard = MonotoneGuard(optimizer, eval_align())
+        for epoch in train_epochs(
+            optimizer, rng, zv.shape[0], cfg.batch_size, cfg.epochs_align, align_batch
+        ):
             guard.accept(eval_align())
             history.append(
                 {"epoch": epoch, "phase": 1, "align": guard.best,
@@ -304,26 +282,25 @@ class ClassEmbeddingLearner:
             c = class_loss(full, np.concatenate([yv, yt]), tab).item()
             return a + cfg.class_weight * c, a, c
 
-        # Phase 2: joint objective with one EMA prototype update per epoch.
-        guard = MonotoneGuard(optimizer)
-        joint, a_val, c_val = eval_joint(table)
-        guard.best = joint
-        for epoch in range(cfg.epochs_joint):
-            guard.snapshot()
-            before = table
-            for idx in batches():
-                with GradTape() as tape:
-                    hv = heads.project_visual(zv[idx])
-                    ht = heads.project_text(zt_t)
-                    loss = align_loss(hv, ht, positives[idx])
-                    both = ad.concat_rows([hv, ht])
-                    closs = class_loss(both, np.concatenate([yv[idx], yt]), table)
-                    loss = ad.add(loss, ad.scale(closs, cfg.class_weight))
-                optimizer.step(backward(loss, tape))
-            table = ema_update(table, projected_means())
-            joint, a_val, c_val = eval_joint(table)
-            if not guard.accept(joint):
-                table = before
+        # Phase 2: joint objective with one EMA prototype update per epoch;
+        # a rejected epoch also keeps the table it started from.
+        def joint_batch(idx) -> Tensor:
+            hv = heads.project_visual(zv[idx])
+            ht = heads.project_text(zt_t)
+            loss = align_loss(hv, ht, positives[idx])
+            both = ad.concat_rows([hv, ht])
+            closs = class_loss(both, np.concatenate([yv[idx], yt]), table)
+            return ad.add(loss, ad.scale(closs, cfg.class_weight))
+
+        guard = MonotoneGuard(optimizer, eval_joint(table)[0])
+        for epoch in train_epochs(
+            optimizer, rng, zv.shape[0], cfg.batch_size, cfg.epochs_joint, joint_batch
+        ):
+            updated = ema_update(table, projected_means())
+            joint, a_val, c_val = eval_joint(updated)
+            if guard.accept(joint):
+                table = updated
+            else:
                 joint, a_val, c_val = eval_joint(table)
             history.append(
                 {"epoch": cfg.epochs_align + epoch, "phase": 2,

@@ -1,7 +1,8 @@
 """Exception taxonomy shared across the package.
 
 The CLI maps these onto exit codes: ConfigError -> 2, GateError -> 3,
-PairingError (and its ChecksumError subclass) -> 4.
+PairingError (and its ChecksumError subclass) -> 4. ArtifactError never
+reaches it: the pipeline rebuilds the stage whose artifact raised it.
 """
 
 
@@ -39,3 +40,7 @@ class PairingError(RareLensError, RuntimeError):
 
 class ChecksumError(PairingError):
     """A stored checksum does not match the file contents."""
+
+
+class ArtifactError(RareLensError, ValueError):
+    """A stored JSON artifact parses but lacks what its reader needs."""

@@ -22,6 +22,7 @@ import numpy as np
 from . import ckpt
 from .adapter import VisualTokenAdapter
 from .autodiff import Tensor
+from .base import json_object
 from .config import ExperimentConfig, config_hash
 from .embeddings import (
     ClassEmbeddingLearner,
@@ -29,7 +30,7 @@ from .embeddings import (
     ProjectionHeads,
     train_class_embeddings,
 )
-from .errors import ConfigError, GateError, PairingError
+from .errors import ArtifactError, ConfigError, GateError, PairingError
 from .hinting import MODES, SceneContext, detect_and_answer
 from .vlm import (
     VLM,
@@ -333,7 +334,8 @@ PIPELINE = (
     Stage("eval", ("adapter",), "report.json",
           lambda cfg, got: {"inference": asdict(cfg.inference)},
           _build_eval, _save_report,
-          lambda cfg, path, got: json.loads(path.read_text())),
+          lambda cfg, path, got: json_object(json.loads(path.read_text()), path.name,
+                                             "modes", "params", "fixture_gate")),
 )
 STAGES = tuple(stage.name for stage in PIPELINE)
 
@@ -355,9 +357,9 @@ def run_pipeline(
     out.mkdir(parents=True, exist_ok=True)
     meta_path = out / "run_meta.json"
     try:
-        records = json.loads(meta_path.read_text())["stages"]
+        records = json_object(json.loads(meta_path.read_text()), meta_path.name, "stages")["stages"]
     except (FileNotFoundError, ValueError):
-        records = {}  # missing or torn: no stage is trusted, so every stage reruns
+        records = {}  # missing, torn or wrong-shaped: every stage reruns
     got: dict = {}
     hashes: dict[str, str] = {}
     stages_run: list[str] = []
@@ -377,9 +379,9 @@ def run_pipeline(
                         "for this run; the file comes from another run"
                     )
                 product = stage.load(cfg, path, got)
-            except (FileNotFoundError, json.JSONDecodeError):
-                # Missing or torn: rebuild. Only the JSON error class, because
-                # ContractError and ConfigError are ValueErrors too.
+            except (FileNotFoundError, json.JSONDecodeError, ArtifactError):
+                # Missing, torn or wrong-shaped: rebuild. Only these classes,
+                # because ContractError and ConfigError are ValueErrors too.
                 pass
         if product is None:
             product, record = stage.build(cfg, got, records)

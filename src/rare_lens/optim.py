@@ -1,10 +1,12 @@
-"""Adaptive gradient descent with decoupled weight decay (AdamW)."""
+"""AdamW, the bold-driver epoch guard and the one epoch loop that drives them."""
 
 from __future__ import annotations
 
+from typing import Callable, Iterator
+
 import numpy as np
 
-from .autodiff import Tensor
+from .autodiff import GradTape, Tensor, backward
 
 
 class AdamW:
@@ -51,43 +53,60 @@ class AdamW:
 class MonotoneGuard:
     """Bold-driver epoch schedule wrapped around an optimizer.
 
-    Call snapshot() before an epoch and accept(loss) after evaluating it. An
-    epoch that raised the loss is rolled back (parameters and moments) and the
-    learning rate is halved, so the recorded end-of-epoch curve never
-    increases: rejected epochs show up as plateaus.
+    Build it with the loss before the first epoch and call accept(loss) after
+    each one; it snapshots the optimizer on construction and after every
+    accept. An epoch that raised the loss is rolled back (parameters, moments
+    and step count) and the learning rate is halved; any other epoch, a tie
+    included, grows the rate by 1.2, capped at twice the starting rate. The
+    recorded end-of-epoch curve therefore never increases: rejected epochs
+    show up as plateaus.
     """
 
-    def __init__(self, optimizer: AdamW, grow: float = 1.2):
+    def __init__(self, optimizer: AdamW, best: float):
         self.optimizer = optimizer
-        self.grow = grow
+        self.best = best
         self.lr_cap = 2.0 * optimizer.lr
-        self.best: float | None = None
-        self._saved = None
+        self._snapshot()
 
-    def snapshot(self) -> None:
+    def _snapshot(self) -> None:
         opt = self.optimizer
         self._saved = (
             [p.array.copy() for p in opt.params],
             [m.copy() for m in opt._m],
             [v.copy() for v in opt._v],
             opt.t,
-            opt.lr,
         )
 
     def accept(self, loss: float) -> bool:
         """Keep the epoch if the loss did not increase; else roll back."""
-        if self.best is None or loss <= self.best:
-            self.best = loss
-            self._saved = None
-            self.optimizer.lr = min(self.optimizer.lr * self.grow, self.lr_cap)
-            return True
-        params, m, v, t, lr = self._saved
         opt = self.optimizer
-        for p, arr in zip(opt.params, params):
-            p.assign_(arr)
-        opt._m = m
-        opt._v = v
-        opt.t = t
-        opt.lr = lr / 2.0
-        self._saved = None
-        return False
+        kept = loss <= self.best
+        if kept:
+            self.best = loss
+            opt.lr = min(opt.lr * 1.2, self.lr_cap)
+        else:
+            params, opt._m, opt._v, opt.t = self._saved
+            for p, arr in zip(opt.params, params):
+                p.assign_(arr)
+            opt.lr /= 2.0
+        self._snapshot()
+        return kept
+
+
+def train_epochs(optimizer: AdamW, rng: np.random.Generator, n: int, batch_size: int,
+                 epochs: int, batch_loss: Callable[[np.ndarray], Tensor]) -> Iterator[int]:
+    """The training loop of every trained piece; yields each finished epoch.
+
+    Each epoch draws one permutation of range(n) from the caller's rng and
+    takes one optimizer step per chunk of batch_size indices (the last chunk
+    may be short), on the gradient of batch_loss(chunk) under a fresh tape.
+    The caller's loop body runs after the epoch's last step and before the
+    next permutation: it is the end-of-epoch hook.
+    """
+    for epoch in range(epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, batch_size):
+            with GradTape() as tape:
+                loss = batch_loss(order[start : start + batch_size])
+            optimizer.step(backward(loss, tape))
+        yield epoch

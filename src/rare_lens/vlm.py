@@ -24,10 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradTape, Tensor, backward
+from .autodiff import Tensor
 from .ckpt import round_f32, weights_crc
-from .errors import ContractError, GateError, ShapeError
-from .optim import AdamW, MonotoneGuard
+from .errors import ArtifactError, ContractError, GateError, ShapeError
+from .optim import AdamW, MonotoneGuard, train_epochs
 from .prompting import HINT_SUFFIX, enrich_prompt
 from .world import VisionEncoder, World, random_object_grid
 
@@ -106,7 +106,10 @@ class Tokenizer:
 
     @classmethod
     def load(cls, path) -> "Tokenizer":
-        return cls(json.loads(Path(path).read_text()))
+        vocab = json.loads(Path(path).read_text())
+        if not isinstance(vocab, list) or any(s not in vocab for s in cls.SPECIALS):
+            raise ArtifactError(f"{path}: not a vocabulary holding {cls.SPECIALS}")
+        return cls(vocab)
 
     def __len__(self) -> int:
         return len(self.vocab)
@@ -511,22 +514,17 @@ def pretrain_fixture(
             total += batch_nll(vlm, visual, [seq for _, seq in chunk]).item()
         return total / n
 
+    def batch_loss(batch) -> Tensor:
+        losses = []
+        for j in batch:
+            feats, seq = sequences[j]
+            losses.append(_unpruned_nll(vlm, connector(vlm, feats), seq))
+        return ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
+
     optimizer = AdamW(vlm.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    guard = MonotoneGuard(optimizer)
-    guard.best = eval_mean_nll()
+    guard = MonotoneGuard(optimizer, eval_mean_nll())
     epoch_losses: list[float] = [guard.best]
-    for epoch in range(cfg.epochs):
-        guard.snapshot()
-        order = rng.permutation(len(sequences))
-        for start in range(0, len(order), cfg.batch_scenes):
-            batch = order[start : start + cfg.batch_scenes]
-            with GradTape() as tape:
-                losses = []
-                for j in batch:
-                    feats, seq = sequences[j]
-                    losses.append(_unpruned_nll(vlm, connector(vlm, feats), seq))
-                loss = ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
-            optimizer.step(backward(loss, tape))
+    for _ in train_epochs(optimizer, rng, len(sequences), cfg.batch_scenes, cfg.epochs, batch_loss):
         guard.accept(eval_mean_nll())
         epoch_losses.append(guard.best)
 

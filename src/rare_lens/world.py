@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .base import json_object
 from .errors import ChecksumError, ConfigError, ContractError, DegenerateVectorError
 from .prompting import QUESTION_TEMPLATES
 
@@ -504,46 +505,36 @@ def load_dataset(path) -> World:
     from pathlib import Path
 
     root = Path(path)
-    doc = json.loads((root / "manifest.json").read_text())
-    classes = [
-        ClassSpec(
-            c["class_id"],
-            c["name"],
-            np.array(c["signature"], dtype=np.float64),
-            c["frequency_weight"],
-        )
-        for c in doc["classes"]
-    ]
-    scene_meta = {
-        sid: SceneMeta(
-            sid,
-            rec["class_id"],
-            tuple(rec["bbox"]),
-            rec["question"],
-            rec["answer"],
-            rec["split"],
-        )
-        for sid, rec in doc["scenes"].items()
-    }
+    scalars = ("seed", "g", "d_v", "d_t", "alpha", "noise", "vision_identity",
+               "rare_ids", "train_ids", "test_ids")
+    doc = json_object(json.loads((root / "manifest.json").read_text()), "manifest.json",
+                      *scalars, "counts", "classes", "scenes")
+    classes = []
+    for c in doc["classes"]:
+        c = json_object(c, "manifest.json class", "class_id", "name", "signature",
+                        "frequency_weight")
+        classes.append(ClassSpec(c["class_id"], c["name"],
+                                 np.array(c["signature"], dtype=np.float64), c["frequency_weight"]))
+    scene_meta = {}
+    for sid, rec in doc["scenes"].items():
+        rec = json_object(rec, f"manifest.json scene {sid}", "class_id", "bbox",
+                          "question", "answer", "split")
+        scene_meta[sid] = SceneMeta(sid, rec["class_id"], tuple(rec["bbox"]),
+                                    rec["question"], rec["answer"], rec["split"])
     manifest = DatasetManifest(
         classes=classes,
         counts={int(k): v for k, v in doc["counts"].items()},
-        train_ids=doc["train_ids"],
-        test_ids=doc["test_ids"],
         scene_meta=scene_meta,
-        seed=doc["seed"],
-        g=doc["g"],
-        d_v=doc["d_v"],
-        d_t=doc["d_t"],
-        alpha=doc["alpha"],
-        noise=doc["noise"],
-        vision_identity=doc["vision_identity"],
-        rare_ids=doc["rare_ids"],
+        **{k: doc[k] for k in scalars},
     )
-    pool_doc = json.loads((root / "textpool.json").read_text())
+    pool_doc = json_object(json.loads((root / "textpool.json").read_text()), "textpool.json")
+    pool_doc = {
+        int(k): json_object(v, f"textpool.json class {k}", "lexical_variants", "attribute_phrases")
+        for k, v in pool_doc.items()
+    }
     pools = TextPool(
-        {int(k): tuple(v["lexical_variants"]) for k, v in pool_doc.items()},
-        {int(k): tuple(v["attribute_phrases"]) for k, v in pool_doc.items()},
+        {k: tuple(v["lexical_variants"]) for k, v in pool_doc.items()},
+        {k: tuple(v["attribute_phrases"]) for k, v in pool_doc.items()},
     )
     grids = {
         sid: read_scene(root / "scenes" / f"{sid}.bin") for sid in scene_meta

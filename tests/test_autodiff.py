@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from rare_lens import autodiff as ad
 from rare_lens.autodiff import GradTape, Tensor, backward, grad_check
-from rare_lens.errors import ContractError, DegenerateVectorError, ShapeError
+from rare_lens.errors import ContractError, ShapeError
 
 RNG = np.random.default_rng(20240817)
 
@@ -77,35 +77,6 @@ def test_softmax_rows_sum_to_one(rows):
     out = ad.softmax_rows(Tensor(rows)).array
     assert np.all(out >= 0)
     assert np.abs(out.sum(axis=1) - 1.0).max() < 1e-12
-
-
-def test_cosine_identity_and_antipodal():
-    x = Tensor(RNG.normal(size=4))
-    assert ad.cosine(x, x) == 1.0
-    assert ad.cosine(x, Tensor(-x.array)) == -1.0
-
-
-def test_cosine_analytic_sqrt2_over_2():
-    got = ad.cosine(Tensor([1.0, 0.0]), Tensor([1.0, 1.0]))
-    assert got == pytest.approx(0.7071067811865475, abs=1e-15)
-
-
-def test_cosine_zero_norm_raises():
-    with pytest.raises(DegenerateVectorError):
-        ad.cosine(Tensor([0.0, 0.0]), Tensor([1.0, 0.0]))
-
-
-@settings(max_examples=50, deadline=None)
-@given(
-    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
-    st.lists(st.floats(-1e3, 1e3), min_size=3, max_size=3),
-)
-def test_cosine_bounded(a, b):
-    va, vb = np.array(a), np.array(b)
-    if np.linalg.norm(va) == 0 or np.linalg.norm(vb) == 0:
-        return
-    c = ad.cosine(Tensor(va), Tensor(vb))
-    assert -1.0 <= c <= 1.0
 
 
 def test_backward_sum_gives_ones():

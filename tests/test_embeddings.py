@@ -125,13 +125,11 @@ def test_init_single_sample_per_class_copies_sample():
     samples = {0: RNG.normal(size=(1, 4)), 1: RNG.normal(size=(1, 4))}
     table = E.init_class_embeddings(samples, ["a", "b"], kappa=0.9)
     assert np.array_equal(table.w.array[0], samples[0][0])
-    assert table.degenerate_init == []
 
 
 def test_init_antipodal_samples_flagged_and_nudged():
     v = RNG.normal(size=4)
     table = E.init_class_embeddings({0: np.stack([v, -v])}, ["a"], kappa=0.9, seed=1)
-    assert table.degenerate_init == [0]
     assert 0 < np.linalg.norm(table.w.array[0]) < 1e-5
 
 
@@ -179,12 +177,6 @@ def test_ema_convex_segment_invariant_1000_updates():
         hi = np.maximum(w0[0], mean)
         assert np.all(updated.w.array[0] >= lo - 1e-12)
         assert np.all(updated.w.array[0] <= hi + 1e-12)
-
-
-def test_ema_tracks_update_counts():
-    table = table_of(RNG.normal(size=(3, 4)))
-    updated = E.ema_update(table, {1: RNG.normal(size=4)})
-    assert updated.update_counts.tolist() == [0, 1, 0]
 
 
 def test_ema_rejects_bad_kappa():

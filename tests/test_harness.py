@@ -331,6 +331,34 @@ def test_torn_vocab_reruns_vlm_through_eval(tmp_path, pipeline_run):
         assert (torn / name).read_bytes() == (out / name).read_bytes(), name
 
 
+# A JSON artifact that parses but lacks what its reader needs is treated like a
+# torn one: the stages listed are the ones a torn copy of the same file reruns.
+@pytest.mark.parametrize("name, damage, stages", [
+    ("dataset/manifest.json", lambda doc: {k: v for k, v in doc.items() if k != "classes"},
+     ["dataset", "vlm", "classes", "adapter", "eval"]),
+    ("dataset/textpool.json",
+     lambda doc: {**doc, "0": {"attribute_phrases": doc["0"]["attribute_phrases"]}},
+     ["dataset", "vlm", "classes", "adapter", "eval"]),
+    ("vocab.json", lambda doc: ["a", "b"], ["vlm", "adapter", "eval"]),
+    ("report.json", lambda doc: {k: v for k, v in doc.items() if k != "modes"}, ["eval"]),
+    ("run_meta.json", lambda doc: {}, ["dataset", "vlm", "classes", "adapter", "eval"]),
+], ids=["manifest-without-classes", "textpool-without-lexical-variants", "vocab-without-specials",
+        "report-without-modes", "run-meta-without-stages"])
+def test_cli_wrong_shape_json_rebuilds_like_torn(tmp_path, pipeline_run, monkeypatch,
+                                                  name, damage, stages):
+    out, _, _ = pipeline_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    path = run / name
+    path.write_text(json.dumps(damage(json.loads(path.read_text()))))
+    reports = _spy_reports(monkeypatch)
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(run)]) == 0
+    assert reports[0]["stages_run"] == stages
+    assert (run / "report.json").read_bytes() == (out / "report.json").read_bytes()
+
+
 def test_sweep_equals_uncached_per_arm_reference(pipeline_run, monkeypatch):
     from rare_lens import harness, hinting
     from test_vlm import stepwise_generate
