@@ -168,7 +168,9 @@ class VisualTokenAdapter:
 
         optimizer = AdamW(list(params.values()), lr=cfg.lr, weight_decay=cfg.weight_decay)
         history = []
-        for epoch in train_epochs(optimizer, rng, len(examples), 1, cfg.epochs, batch_loss):
+        for epoch in train_epochs(
+            optimizer, rng, len(examples), 1, cfg.epochs, ad.gradient(batch_loss)
+        ):
             history.append(
                 {"epoch": epoch, "rec": rec_sum / len(examples),
                  "autoreg": auto_sum / len(examples)}

@@ -6,7 +6,13 @@ innermost active GradTape. With no tape active, operations are plain numpy
 calls. Gradients never live on tensors: `backward` returns a map from tensor
 id to gradient array, so finished parameter sets can be shared freely across
 threads. The stack of active tapes is a context variable, so each thread
-(and each asyncio task) records only onto the tapes it opened itself.
+(and each asyncio task) records only onto the tapes it opened itself: a new
+thread starts with an empty stack, and work fanned out to worker threads
+records nothing on a tape the caller holds open. A worker that needs
+gradients opens its own tape, runs `backward(..., leaves=[])` on it and
+hands back only the leaf contributions; the tape dies with the task. The
+caller folds the lists with `accumulate` in the order one shared tape would
+have summed them, which gives the same gradient bit for bit.
 
 Design choices: 64-bit floats everywhere (finite-difference checks need the
 headroom), 2-d is the largest supported rank, and tensors without
@@ -115,15 +121,23 @@ def _record(out: Tensor, inputs: Sequence[Tensor], vjps: Sequence) -> Tensor:
     return out
 
 
-def backward(loss: Tensor, tape: GradTape) -> dict[int, np.ndarray]:
+def backward(
+    loss: Tensor, tape: GradTape, leaves: list | None = None
+) -> dict[int, np.ndarray]:
     """Walk the tape in reverse from a scalar loss; return id -> gradient.
 
     Only tensors reachable from the loss appear; frozen (requires_grad=False)
-    tensors are structurally absent.
+    tensors are structurally absent. With `leaves`, a list, each contribution
+    to a tensor this tape did not produce (a parameter or an input) is
+    appended to it as (id, gradient), unsummed and in walk order, instead of
+    entering the returned map. One tape holding several subgraphs that share
+    only leaves walks the last one first, so folding their separate tapes'
+    lists last first with `accumulate` gives its leaf gradients bit for bit.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
-    if not any(out_id == loss.id for out_id, _, _ in tape.entries):
+    produced = {out_id for out_id, _, _ in tape.entries}
+    if loss.id not in produced:
         raise ContractError("loss was not produced on this tape")
     grads: dict[int, np.ndarray] = {loss.id: np.ones((), dtype=np.float64)}
     for out_id, input_ids, vjps in reversed(tape.entries):
@@ -134,8 +148,29 @@ def backward(loss: Tensor, tape: GradTape) -> dict[int, np.ndarray]:
             if vjp is None:
                 continue
             g = vjp(g_out)
+            if leaves is not None and inp_id not in produced:
+                leaves.append((inp_id, g))
+                continue
             acc = grads.get(inp_id)
             grads[inp_id] = g if acc is None else acc + g
+    return grads
+
+
+def accumulate(grads: dict[int, np.ndarray], contributions: Sequence[tuple[int, np.ndarray]]):
+    """Add (id, gradient) pairs into grads in order, the way backward sums."""
+    for key, g in contributions:
+        acc = grads.get(key)
+        grads[key] = g if acc is None else acc + g
+
+
+def gradient(loss_fn: Callable[..., Tensor]) -> Callable[..., dict[int, np.ndarray]]:
+    """Wrap loss_fn so each call records it on a fresh tape and returns backward's map."""
+
+    def grads(*args):
+        with GradTape() as tape:
+            loss = loss_fn(*args)
+        return backward(loss, tape)
+
     return grads
 
 
@@ -568,9 +603,7 @@ def grad_check(
     """
     if eps <= 0:
         raise ContractError("eps must be positive")
-    with GradTape() as tape:
-        loss = f(params)
-    grads = backward(loss, tape)
+    grads = gradient(f)(params)
 
     def evaluate() -> float:
         value = f(params).item()

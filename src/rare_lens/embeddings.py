@@ -260,7 +260,7 @@ class ClassEmbeddingLearner:
 
         guard = MonotoneGuard(optimizer, eval_align())
         for epoch in train_epochs(
-            optimizer, rng, zv.shape[0], cfg.batch_size, cfg.epochs_align, align_batch
+            optimizer, rng, zv.shape[0], cfg.batch_size, cfg.epochs_align, ad.gradient(align_batch)
         ):
             guard.accept(eval_align())
             history.append(
@@ -294,7 +294,7 @@ class ClassEmbeddingLearner:
 
         guard = MonotoneGuard(optimizer, eval_joint(table)[0])
         for epoch in train_epochs(
-            optimizer, rng, zv.shape[0], cfg.batch_size, cfg.epochs_joint, joint_batch
+            optimizer, rng, zv.shape[0], cfg.batch_size, cfg.epochs_joint, ad.gradient(joint_batch)
         ):
             updated = ema_update(table, projected_means())
             joint, a_val, c_val = eval_joint(updated)

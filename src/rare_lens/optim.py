@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
-from typing import Callable, Iterator
+import os
+from typing import TYPE_CHECKING, Callable, Iterator
 
 import numpy as np
 
-from .autodiff import GradTape, Tensor, backward
+from . import autodiff as ad
+from .autodiff import GradTape, Tensor, accumulate, backward
+
+# Imported where the pool is made, so a run that only loads a trained model
+# does not pay for concurrent.futures (5 ms and 0.6 MB, with logging).
+if TYPE_CHECKING:
+    from concurrent.futures import Executor, ThreadPoolExecutor
 
 
 class AdamW:
@@ -94,19 +101,75 @@ class MonotoneGuard:
 
 
 def train_epochs(optimizer: AdamW, rng: np.random.Generator, n: int, batch_size: int,
-                 epochs: int, batch_loss: Callable[[np.ndarray], Tensor]) -> Iterator[int]:
+                 epochs: int, batch_grads: Callable[[np.ndarray], dict]) -> Iterator[int]:
     """The training loop of every trained piece; yields each finished epoch.
 
     Each epoch draws one permutation of range(n) from the caller's rng and
     takes one optimizer step per chunk of batch_size indices (the last chunk
-    may be short), on the gradient of batch_loss(chunk) under a fresh tape.
-    The caller's loop body runs after the epoch's last step and before the
-    next permutation: it is the end-of-epoch hook.
+    may be short), on the gradient map batch_grads(chunk) returns: usually
+    autodiff.gradient(batch_loss), else pooled_mean_gradient. The caller's
+    loop body runs after the epoch's last step and before the next
+    permutation: it is the end-of-epoch hook.
     """
     for epoch in range(epochs):
         order = rng.permutation(n)
         for start in range(0, n, batch_size):
-            with GradTape() as tape:
-                loss = batch_loss(order[start : start + batch_size])
-            optimizer.step(backward(loss, tape))
+            optimizer.step(batch_grads(order[start : start + batch_size]))
         yield epoch
+
+
+def worker_pool() -> ThreadPoolExecutor:
+    """A thread pool that splits this process's CPUs with the BLAS threads.
+
+    One worker per CPU the process may run on, divided by the threads one
+    BLAS call may use, which OpenBLAS reads from these variables (the first
+    one set) when numpy loads, else taking every usable CPU. Workers whose
+    BLAS calls each run multi-threaded fight over the cores: the fixture at
+    the bench config took 41 s on 2 workers against 28 s on 1, with 2 BLAS
+    threads on a 2-CPU machine.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        cpus = os.cpu_count() or 1
+    blas = cpus
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        value = os.environ.get(name, "")
+        if value.isdigit() and int(value) > 0:
+            blas = int(value)
+            break
+    return ThreadPoolExecutor(max_workers=max(1, cpus // blas), thread_name_prefix="rare-lens")
+
+
+def pooled_mean_gradient(
+    pool: Executor, item_loss: Callable[[int], Tensor]
+) -> Callable[[np.ndarray], dict]:
+    """The gradient of mean(item_loss(i) for i in chunk), one item per pool task.
+
+    A task tapes scale(item_loss(i), 1/len(chunk)) on its own tape, runs
+    backward there and returns only the leaf contributions; the caller folds
+    them last item first. That is the order in which one tape over the
+    chunk, scale(add(...add(l0, l1)..., l_last), 1/len(chunk)), sums them,
+    because the items' subgraphs share nothing but leaves: the result equals
+    that tape's gradient bit for bit, whatever the pool size. The items'
+    activations live only as long as their own task.
+    """
+
+    def grads(chunk):
+        scale = 1.0 / len(chunk)
+
+        def item(i):
+            with GradTape() as tape:
+                loss = ad.scale(item_loss(i), scale)
+            leaves: list = []
+            backward(loss, tape, leaves)
+            return leaves
+
+        out: dict = {}
+        for leaves in reversed(list(pool.map(item, chunk))):
+            accumulate(out, leaves)
+        return out
+
+    return grads

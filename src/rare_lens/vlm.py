@@ -14,12 +14,12 @@ checksummed, and never updated again.
 
 from __future__ import annotations
 
-import functools
 import json
 import re
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -27,9 +27,12 @@ from . import autodiff as ad
 from .autodiff import Tensor
 from .ckpt import round_f32, weights_crc
 from .errors import ArtifactError, ContractError, GateError, ShapeError
-from .optim import AdamW, MonotoneGuard, train_epochs
+from .optim import AdamW, MonotoneGuard, pooled_mean_gradient, train_epochs, worker_pool
 from .prompting import HINT_SUFFIX, enrich_prompt
 from .world import VisionEncoder, World, random_object_grid
+
+if TYPE_CHECKING:
+    from concurrent.futures import Executor
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
 
@@ -485,6 +488,25 @@ def evaluate_answers(
     return {cid: float(np.mean(oks)) for cid, oks in per_class.items()}
 
 
+def _mean_nll(pool: Executor, vlm: VLM, sequences: list, chunk: int) -> float:
+    """Mean answer NLL of (features, sequence) pairs, outside any tape.
+
+    One batch_nll per chunk of consecutive pairs, each on a pool worker;
+    the chunk losses are added one by one in chunk order (a plain loop:
+    the built-in sum of floats rounds differently on newer Pythons).
+    """
+
+    def chunk_nll(start: int) -> float:
+        part = sequences[start : start + chunk]
+        visual = connector(vlm, np.concatenate([feats for feats, _ in part]))
+        return batch_nll(vlm, visual, [seq for _, seq in part]).item()
+
+    total = 0.0
+    for nll in pool.map(chunk_nll, range(0, len(sequences), chunk)):
+        total += nll
+    return total / len(sequences)
+
+
 def pretrain_fixture(
     world: World, cfg: FixtureConfig, seed: int
 ) -> tuple[VLM, Tokenizer, dict]:
@@ -504,29 +526,21 @@ def pretrain_fixture(
         for ex in examples
     ]
 
-    def eval_mean_nll() -> float:
-        # Outside a tape, in chunks of one training batch.
-        n, b = len(sequences), cfg.batch_scenes
-        total = 0.0
-        for s in range(0, n, b):
-            chunk = sequences[s : s + b]
-            visual = connector(vlm, np.concatenate([feats for feats, _ in chunk]))
-            total += batch_nll(vlm, visual, [seq for _, seq in chunk]).item()
-        return total / n
+    def sequence_loss(j) -> Tensor:
+        feats, seq = sequences[j]
+        return _unpruned_nll(vlm, connector(vlm, feats), seq)
 
-    def batch_loss(batch) -> Tensor:
-        losses = []
-        for j in batch:
-            feats, seq = sequences[j]
-            losses.append(_unpruned_nll(vlm, connector(vlm, feats), seq))
-        return ad.scale(functools.reduce(ad.add, losses), 1.0 / len(batch))
-
-    optimizer = AdamW(vlm.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-    guard = MonotoneGuard(optimizer, eval_mean_nll())
-    epoch_losses: list[float] = [guard.best]
-    for _ in train_epochs(optimizer, rng, len(sequences), cfg.batch_scenes, cfg.epochs, batch_loss):
-        guard.accept(eval_mean_nll())
-        epoch_losses.append(guard.best)
+    # Training steps and guard passes fan out to worker threads; everything
+    # they return is folded in serial order, so the bytes do not depend on
+    # the worker count. Decoding for the gate below stays on this thread.
+    with worker_pool() as pool:
+        optimizer = AdamW(vlm.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+        guard = MonotoneGuard(optimizer, _mean_nll(pool, vlm, sequences, cfg.batch_scenes))
+        epoch_losses: list[float] = [guard.best]
+        step = pooled_mean_gradient(pool, sequence_loss)
+        for _ in train_epochs(optimizer, rng, len(sequences), cfg.batch_scenes, cfg.epochs, step):
+            guard.accept(_mean_nll(pool, vlm, sequences, cfg.batch_scenes))
+            epoch_losses.append(guard.best)
 
     frozen = VLM(vcfg, round_f32(vlm.weights)).freeze()
     per_class = evaluate_answers(frozen, tokenizer, encoder, world, max_len=cfg.max_answer_len)

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .base import json_object
-from .errors import ChecksumError, ConfigError, ContractError, DegenerateVectorError
+from .errors import ArtifactError, ChecksumError, ConfigError, ContractError, DegenerateVectorError
 from .prompting import QUESTION_TEMPLATES
 
 SCENE_MAGIC = b"RLSC"
@@ -505,10 +505,23 @@ def load_dataset(path) -> World:
     from pathlib import Path
 
     root = Path(path)
+    manifest_doc = json.loads((root / "manifest.json").read_text())
+    pool_doc = json.loads((root / "textpool.json").read_text())
+    try:
+        manifest, pools = _manifest_from_json(manifest_doc), _pools_from_json(pool_doc)
+    except (AttributeError, TypeError, ValueError) as err:
+        # Parsed, but a value has the wrong type: as unusable as a torn file.
+        raise ArtifactError(f"{root}: malformed dataset JSON: {err}") from err
+    grids = {
+        sid: read_scene(root / "scenes" / f"{sid}.bin") for sid in manifest.scene_meta
+    }
+    return World(manifest, grids, pools)
+
+
+def _manifest_from_json(doc) -> DatasetManifest:
     scalars = ("seed", "g", "d_v", "d_t", "alpha", "noise", "vision_identity",
                "rare_ids", "train_ids", "test_ids")
-    doc = json_object(json.loads((root / "manifest.json").read_text()), "manifest.json",
-                      *scalars, "counts", "classes", "scenes")
+    doc = json_object(doc, "manifest.json", *scalars, "counts", "classes", "scenes")
     classes = []
     for c in doc["classes"]:
         c = json_object(c, "manifest.json class", "class_id", "name", "signature",
@@ -521,22 +534,20 @@ def load_dataset(path) -> World:
                           "question", "answer", "split")
         scene_meta[sid] = SceneMeta(sid, rec["class_id"], tuple(rec["bbox"]),
                                     rec["question"], rec["answer"], rec["split"])
-    manifest = DatasetManifest(
+    return DatasetManifest(
         classes=classes,
         counts={int(k): v for k, v in doc["counts"].items()},
         scene_meta=scene_meta,
         **{k: doc[k] for k in scalars},
     )
-    pool_doc = json_object(json.loads((root / "textpool.json").read_text()), "textpool.json")
-    pool_doc = {
+
+
+def _pools_from_json(doc) -> TextPool:
+    doc = {
         int(k): json_object(v, f"textpool.json class {k}", "lexical_variants", "attribute_phrases")
-        for k, v in pool_doc.items()
+        for k, v in json_object(doc, "textpool.json").items()
     }
-    pools = TextPool(
-        {k: tuple(v["lexical_variants"]) for k, v in pool_doc.items()},
-        {k: tuple(v["attribute_phrases"]) for k, v in pool_doc.items()},
+    return TextPool(
+        {k: tuple(v["lexical_variants"]) for k, v in doc.items()},
+        {k: tuple(v["attribute_phrases"]) for k, v in doc.items()},
     )
-    grids = {
-        sid: read_scene(root / "scenes" / f"{sid}.bin") for sid in scene_meta
-    }
-    return World(manifest, grids, pools)

@@ -342,8 +342,13 @@ def test_torn_vocab_reruns_vlm_through_eval(tmp_path, pipeline_run):
     ("vocab.json", lambda doc: ["a", "b"], ["vlm", "adapter", "eval"]),
     ("report.json", lambda doc: {k: v for k, v in doc.items() if k != "modes"}, ["eval"]),
     ("run_meta.json", lambda doc: {}, ["dataset", "vlm", "classes", "adapter", "eval"]),
+    ("dataset/manifest.json", lambda doc: {**doc, "scenes": []},
+     ["dataset", "vlm", "classes", "adapter", "eval"]),
+    ("dataset/textpool.json", lambda doc: {("x" if k == "0" else k): v for k, v in doc.items()},
+     ["dataset", "vlm", "classes", "adapter", "eval"]),
 ], ids=["manifest-without-classes", "textpool-without-lexical-variants", "vocab-without-specials",
-        "report-without-modes", "run-meta-without-stages"])
+        "report-without-modes", "run-meta-without-stages", "manifest-scenes-not-an-object",
+        "textpool-class-key-not-an-int"])
 def test_cli_wrong_shape_json_rebuilds_like_torn(tmp_path, pipeline_run, monkeypatch,
                                                   name, damage, stages):
     out, _, _ = pipeline_run
@@ -435,24 +440,44 @@ def test_cli_gate_failure_exit_code(tmp_path):
     assert cli.main(["pretrain-vlm", "--config", str(cfg_path), "--out", str(tmp_path / "g")]) == 3
 
 
-def test_run_directory_identical_at_one_and_two_blas_threads(tmp_path):
+def _assert_identical_mini_runs(tmp_path, variants):
+    """Run MINI_DOC's eval in one child per {name: (BLAS threads, CPU set or None)}, all
+    at once; assert that every run directory holds the same files, byte for byte.
+
+    A child given a CPU set restricts its own affinity to it before rare_lens
+    loads, so its fixture pool has one worker per CPU in the set."""
     cfg_path = tmp_path / "mini.json"
     cfg_path.write_text(json.dumps(MINI_DOC))
     src = str(Path(rare_lens.__file__).resolve().parents[1])
+    launch = ("import os, sys; cpus = sys.argv.pop(1)\n"
+              "if cpus: os.sched_setaffinity(0, {int(c) for c in cpus.split(',')})\n"
+              "from rare_lens.cli import main; sys.exit(main(sys.argv[1:]))")
     runs = {}
-    for threads in ("1", "2"):
+    for name, (threads, cpus) in variants.items():
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
                "OMP_NUM_THREADS": threads, "MKL_NUM_THREADS": threads}
-        out = tmp_path / f"threads{threads}"
-        cmd = [sys.executable, "-m", "rare_lens.cli", "eval", "--config", str(cfg_path),
-               "--out", str(out)]
+        out = tmp_path / name
+        cmd = [sys.executable, "-c", launch, ",".join(map(str, cpus or ())), "eval",
+               "--config", str(cfg_path), "--out", str(out)]
         runs[out] = subprocess.Popen(cmd, env=env, stderr=subprocess.PIPE)
     for out, proc in runs.items():
         _, err = proc.communicate(timeout=600)
         assert proc.returncode == 0, err.decode()
-    one, two = runs
+    one, *others = runs
     files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
-    assert files == sorted(p.relative_to(two) for p in two.rglob("*") if p.is_file())
     assert {"vlm.ckpt", "classes.ckpt", "adapter.ckpt", "report.json"} <= {str(p) for p in files}
-    for rel in files:
-        assert (one / rel).read_bytes() == (two / rel).read_bytes(), rel
+    for other in others:
+        assert files == sorted(p.relative_to(other) for p in other.rglob("*") if p.is_file())
+        for rel in files:
+            assert (one / rel).read_bytes() == (other / rel).read_bytes(), (other.name, rel)
+
+
+def test_run_directory_identical_at_one_and_two_blas_threads(tmp_path):
+    _assert_identical_mini_runs(tmp_path, {"threads1": ("1", None), "threads2": ("2", None)})
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity") or len(os.sched_getaffinity(0)) < 2,
+                    reason="needs two usable CPUs to vary the fixture's worker count")
+def test_run_directory_identical_with_one_fixture_worker_and_with_all(tmp_path):
+    cpu = min(os.sched_getaffinity(0))
+    _assert_identical_mini_runs(tmp_path, {"all_cpus": ("1", None), "one_cpu": ("1", {cpu})})

@@ -1,10 +1,12 @@
 """The bold-driver guard and the one epoch loop every trained piece runs."""
 
+import os
+
 import numpy as np
 
 from rare_lens import autodiff as ad
 from rare_lens.autodiff import GradTape, Tensor, backward
-from rare_lens.optim import AdamW, MonotoneGuard, train_epochs
+from rare_lens.optim import AdamW, MonotoneGuard, train_epochs, worker_pool
 
 
 def stepped_optimizer(lr=0.1, steps=3):
@@ -91,7 +93,7 @@ def recording_run(n, batch_size, epochs, rng):
         log.append(("batch", idx.tolist()))
         return ad.scale(ad.sum_all(p), float(len(idx)))
 
-    for epoch in train_epochs(opt, rng, n, batch_size, epochs, batch_loss):
+    for epoch in train_epochs(opt, rng, n, batch_size, epochs, ad.gradient(batch_loss)):
         log.append(("end", epoch))
     return opt, log
 
@@ -122,3 +124,19 @@ def test_train_epochs_batch_larger_than_n_is_one_full_batch():
     batches = [idx for kind, idx in log if kind == "batch"]
     assert [sorted(b) for b in batches] == [list(range(5))] * 2
     assert opt.t == 2
+
+
+def test_worker_pool_leaves_the_cpus_to_multithreaded_blas(monkeypatch):
+    cpus = len(os.sched_getaffinity(0))
+    for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
+        monkeypatch.delenv(name, raising=False)
+    want = {None: 1, "1": cpus, "0": 1, str(cpus + 1): 1}  # unset and 0 mean every CPU
+    for value, workers in want.items():
+        if value is not None:
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
+        with worker_pool() as pool:
+            assert pool._max_workers == workers, value
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
+    monkeypatch.setenv("OMP_NUM_THREADS", "1")
+    with worker_pool() as pool:
+        assert pool._max_workers == cpus

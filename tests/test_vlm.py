@@ -1,6 +1,9 @@
 """Frozen toy VLM: tokenizer, causal forward, generation, probes, fixture."""
 
 import functools
+import gc
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,7 +13,7 @@ from rare_lens import vlm as V
 from rare_lens import world as w
 from rare_lens.autodiff import Tensor
 from rare_lens.errors import ContractError, GateError
-from rare_lens.optim import AdamW
+from rare_lens.optim import AdamW, pooled_mean_gradient
 
 RNG = np.random.default_rng(11)
 
@@ -339,6 +342,95 @@ def test_batched_training_steps_match_the_per_sequence_loop():
         trained.append(model.weights)
     for name, t in trained[0].items():
         assert np.abs(t.array - trained[1][name].array).max() < 1e-10, name
+
+
+def fixture_batch(shapes, seed=4):
+    """Visual features and sequences of mixed lengths, as the fixture trains on."""
+    rng = np.random.default_rng(seed)
+    features = [rng.normal(size=(nv, 8)) for _, nv, _ in shapes]
+    _, seqs = random_batch(rng, shapes)
+    return features, seqs
+
+
+FIXTURE_SHAPES = [(9, 3, 2), (13, 3, 2), (10, 3, 1), (12, 3, 3), (8, 3, 1), (15, 3, 2), (11, 3, 2)]
+# Three steps, the middle one on a short last chunk.
+FIXTURE_CHUNKS = [[3, 0, 5, 1], [6, 2, 4], [2, 5, 1, 0]]
+
+
+def serial_step(model, features, seqs, chunk):
+    """The fixture's step before the pool: one tape over the chunk, then backward."""
+    with ad.GradTape() as tape:
+        losses = [V._unpruned_nll(model, V.connector(model, features[j]), seqs[j]) for j in chunk]
+        loss = ad.scale(functools.reduce(ad.add, losses), 1.0 / len(chunk))
+    return ad.backward(loss, tape)
+
+
+def pooled_step(pool, model, features, seqs):
+    return pooled_mean_gradient(
+        pool, lambda j: V._unpruned_nll(model, V.connector(model, features[j]), seqs[j]))
+
+
+# 8 workers, more than the cores and than the largest chunk, run with the
+# interpreter switching threads as often as it can.
+@pytest.mark.parametrize("workers", [1, 2, 8])
+def test_pooled_fixture_step_equals_one_tape_over_the_chunk(workers):
+    features, seqs = fixture_batch(FIXTURE_SHAPES)
+    models = [make_vlm(layers=2, heads=2, dim=8, ffn=16) for _ in range(2)]
+    optimizers = [AdamW(m.parameters(), lr=2e-3) for m in models]
+    serial, pooled = models
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(workers) as pool:
+            step = pooled_step(pool, pooled, features, seqs)
+            for chunk in FIXTURE_CHUNKS:
+                want = serial_step(serial, features, seqs, chunk)
+                got = step(np.array(chunk))
+                for p, q in zip(serial.parameters(), pooled.parameters()):
+                    assert np.array_equal(want[p.id], got[q.id])
+                assert len(got) == len(pooled.parameters())
+                optimizers[0].step(want)
+                optimizers[1].step(got)
+    finally:
+        sys.setswitchinterval(switch)
+    for name, t in serial.weights.items():
+        assert np.array_equal(t.array, pooled.weights[name].array), name
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_pooled_guard_pass_equals_the_serial_chunk_sum(workers):
+    features, seqs = fixture_batch(FIXTURE_SHAPES)
+    model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+    pairs = list(zip(features, seqs))
+    total = 0.0
+    for s in range(0, len(pairs), 3):  # 3, 3 and a short chunk of 1
+        part = pairs[s : s + 3]
+        visual = V.connector(model, np.concatenate([f for f, _ in part]))
+        total += V.batch_nll(model, visual, [q for _, q in part]).item()
+    with ThreadPoolExecutor(workers) as pool:
+        assert V._mean_nll(pool, model, pairs, 3) == total / len(pairs)
+
+
+def test_fanning_out_records_nothing_on_the_callers_tape_and_frees_worker_tapes():
+    features, seqs = fixture_batch(FIXTURE_SHAPES)
+    model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+    want = serial_step(model, features, seqs, FIXTURE_CHUNKS[1])
+
+    def live_tapes():
+        return sum(isinstance(o, ad.GradTape) for o in gc.get_objects())
+
+    with ThreadPoolExecutor(2) as pool:
+        step = pooled_step(pool, model, features, seqs)
+        before = live_tapes()
+        with ad.GradTape() as outer:
+            got = step(np.array(FIXTURE_CHUNKS[1]))
+            nll = V._mean_nll(pool, model, list(zip(features, seqs)), 3)
+        assert outer.entries == []
+        assert live_tapes() == before + 1  # the caller's own tape, and no worker's
+        assert all(stack == () for stack in pool.map(lambda _: ad._TAPE_STACK.get(), range(4)))
+    assert np.isfinite(nll)
+    for p in model.parameters():
+        assert np.array_equal(want[p.id], got[p.id])
 
 
 def test_vlm_config_needs_a_layer():
