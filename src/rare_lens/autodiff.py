@@ -5,12 +5,14 @@ pure function that optionally records a vector-Jacobian-product closure on the
 innermost active GradTape. With no tape active, operations are plain numpy
 calls. Gradients never live on tensors: `backward` returns a map from tensor
 id to gradient array, so finished parameter sets can be shared freely across
-threads. The stack of active tapes is a context variable, so each thread
-(and each asyncio task) records only onto the tapes it opened itself: a new
-thread starts with an empty stack, and work fanned out to worker threads
-records nothing on a tape the caller holds open. A worker that needs
-gradients opens its own tape, runs `backward(..., leaves=[])` on it and
-hands back only the leaf contributions; the tape dies with the task. The
+threads and copied between processes. The stack of active tapes is a context
+variable, so each thread (and each asyncio task) records only onto the tapes
+it opened itself, and a new thread starts with an empty stack. Fixture
+training splits a step's sequences into blocks that run in the calling
+process and in forked worker processes (optim.ForkedWorkers), each block in
+a fresh context, so it records nothing on a tape the caller holds open. A
+block opens one tape per sequence, runs `backward(..., leaves=[])` on it and
+keeps only the leaf contributions; the tape dies with the sequence. The
 caller folds the lists with `accumulate` in the order one shared tape would
 have summed them, which gives the same gradient bit for bit.
 

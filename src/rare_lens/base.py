@@ -1,4 +1,4 @@
-"""Input validation helpers: estimator inputs and stored JSON artifacts.
+"""Input validation and artifact helpers: estimator inputs, stored JSON, atomic writes.
 
 The learnable components follow the familiar fit/transform/predict shape:
 each takes its config section and a seed, and fitted state lands in
@@ -6,6 +6,9 @@ trailing-underscore attributes.
 """
 
 from __future__ import annotations
+
+import os
+from pathlib import Path
 
 import numpy as np
 
@@ -47,3 +50,21 @@ def json_object(doc, what: str, *keys: str) -> dict:
     if not isinstance(doc, dict) or not set(keys) <= doc.keys():
         raise ArtifactError(f"{what}: expected a JSON object with keys {list(keys)}")
     return doc
+
+
+def write_atomic(path, data: bytes | str) -> None:
+    """Write a file through a temporary sibling and os.replace.
+
+    A reader finds the old file or the new one, never a torn one: a write
+    that fails leaves the old file in place and removes the temporary one.
+    Nothing is fsynced, so this guards against an interrupted process, not
+    against a power cut.
+    """
+    path = Path(path)
+    tmp = path.with_name(path.name + ".tmp")
+    try:
+        tmp.write_bytes(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise

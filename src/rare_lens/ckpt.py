@@ -29,6 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .autodiff import Tensor
+from .base import write_atomic
 from .errors import ChecksumError, PairingError
 
 VERSION = 2
@@ -86,7 +87,7 @@ def _save(path, magic: bytes, header: dict, weights: dict[str, Tensor]) -> int:
     head = json.dumps(header, sort_keys=True).encode()
     body = magic + struct.pack("<HI", VERSION, len(head)) + head + _encode_blobs(weights)
     crc = zlib.crc32(body)
-    Path(path).write_bytes(body + struct.pack("<I", crc))
+    write_atomic(path, body + struct.pack("<I", crc))
     return crc
 
 

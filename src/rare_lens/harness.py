@@ -22,7 +22,7 @@ import numpy as np
 from . import ckpt
 from .adapter import VisualTokenAdapter
 from .autodiff import Tensor
-from .base import json_object
+from .base import json_object, write_atomic
 from .config import ExperimentConfig, config_hash
 from .embeddings import (
     ClassEmbeddingLearner,
@@ -314,7 +314,7 @@ def _build_eval(cfg: ExperimentConfig, got: dict, records: dict):
 
 
 def _save_report(path: Path, report: dict) -> None:
-    path.write_text(json.dumps(report, indent=1, sort_keys=True))
+    write_atomic(path, json.dumps(report, indent=1, sort_keys=True))
 
 
 PIPELINE = (
@@ -389,7 +389,7 @@ def run_pipeline(
             if crc is not None:
                 record["crc"] = crc
             records[stage.name] = {"hash": h, **record}
-            meta_path.write_text(json.dumps({"stages": records}, indent=1, sort_keys=True))
+            write_atomic(meta_path, json.dumps({"stages": records}, indent=1, sort_keys=True))
             stages_run.append(stage.name)
         got[stage.name] = product
         if stage.name == until:

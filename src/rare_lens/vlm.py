@@ -19,20 +19,17 @@ import re
 from dataclasses import dataclass, field, replace
 from enum import IntEnum
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
+from .base import write_atomic
 from .ckpt import round_f32, weights_crc
 from .errors import ArtifactError, ContractError, GateError, ShapeError
-from .optim import AdamW, MonotoneGuard, pooled_mean_gradient, train_epochs, worker_pool
+from .optim import AdamW, ForkedWorkers, MonotoneGuard, fold, mean_gradient, train_epochs
 from .prompting import HINT_SUFFIX, enrich_prompt
 from .world import VisionEncoder, World, random_object_grid
-
-if TYPE_CHECKING:
-    from concurrent.futures import Executor
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
 
@@ -105,7 +102,7 @@ class Tokenizer:
         return " ".join(self.vocab[i] for i in ids)
 
     def save(self, path) -> None:
-        Path(path).write_text(json.dumps(self.vocab, indent=0))
+        write_atomic(path, json.dumps(self.vocab, indent=0))
 
     @classmethod
     def load(cls, path) -> "Tokenizer":
@@ -488,29 +485,70 @@ def evaluate_answers(
     return {cid: float(np.mean(oks)) for cid, oks in per_class.items()}
 
 
-def _mean_nll(pool: Executor, vlm: VLM, sequences: list, chunk: int) -> float:
-    """Mean answer NLL of (features, sequence) pairs, outside any tape.
+def _fixture_tasks(vlm: VLM, sequences: list, chunk: int) -> dict:
+    """The fixture's two ForkedWorkers tasks over (features, sequence) pairs.
 
-    One batch_nll per chunk of consecutive pairs, each on a pool worker;
-    the chunk losses are added one by one in chunk order (a plain loop:
-    the built-in sum of floats rounds differently on newer Pythons).
+    "step" is the mean answer NLL gradient over a chunk of pair indices,
+    each pair through _unpruned_nll; "guard" gives one batch_nll per block
+    item, a start index of `chunk` consecutive pairs, outside any tape.
     """
 
-    def chunk_nll(start: int) -> float:
-        part = sequences[start : start + chunk]
-        visual = connector(vlm, np.concatenate([feats for feats, _ in part]))
-        return batch_nll(vlm, visual, [seq for _, seq in part]).item()
+    def sequence_loss(j) -> Tensor:
+        feats, seq = sequences[j]
+        return _unpruned_nll(vlm, connector(vlm, feats), seq)
 
+    def chunk_nlls(starts: list, lo: int, hi: int) -> list:
+        nlls = []
+        for start in starts[lo:hi]:
+            part = sequences[start : start + chunk]
+            visual = connector(vlm, np.concatenate([feats for feats, _ in part]))
+            nlls.append(batch_nll(vlm, visual, [seq for _, seq in part]).item())
+        return [(0, np.array(nlls))]
+
+    return {"step": mean_gradient(sequence_loss), "guard": chunk_nlls}
+
+
+def _result_floats(vlm: VLM, chunk: int) -> int:
+    """Room for the largest result of a _fixture_tasks block, in floats.
+
+    That is a middle "step" block of a whole chunk, which ships each
+    sequence's contributions unsummed: two for the tied wte, one for every
+    other parameter.
+    """
+    return 2 * chunk * sum(p.array.size for p in vlm.parameters())
+
+
+def _mean_nll(workers: ForkedWorkers, n: int, chunk: int) -> float:
+    """Mean answer NLL of the n pairs of _fixture_tasks, by its "guard" task.
+
+    The chunk losses are added one by one in chunk order (a plain loop: the
+    built-in sum of floats rounds differently on newer Pythons).
+    """
     total = 0.0
-    for nll in pool.map(chunk_nll, range(0, len(sequences), chunk)):
-        total += nll
-    return total / len(sequences)
+    for block in workers.run("guard", range(0, n, chunk)):
+        for _, nlls in block:
+            for nll in nlls.tolist():
+                total += nll
+    return total / n
 
 
 def pretrain_fixture(
     world: World, cfg: FixtureConfig, seed: int
 ) -> tuple[VLM, Tokenizer, dict]:
     """Train the frozen-VLM fixture on common classes and enforce its gate.
+
+    Training steps and guard passes run on this process plus forked worker
+    processes (optim.ForkedWorkers: one process per usable CPU divided by
+    the BLAS threads), made once the model, tokenizer and sequences exist
+    and reaped before the gate. A step's chunk is cut into contiguous
+    blocks, this process taking the first; the block that ends the chunk is
+    folded where it ran, a middle block ships its parameter contributions
+    unsummed, and this process folds the blocks last first: the same float
+    additions in the same order as one tape over the chunk. A guard pass
+    splits its batch_scenes chunks the same way, and their losses are added
+    here in chunk order. So the result is bit-identical whatever the
+    process count. AdamW, the guard's decisions and the gate's decoding
+    stay in this process.
 
     Returns the frozen (f32-rounded, checksummed) VLM, the tokenizer, and a
     log with per-epoch mean losses and gate metrics.
@@ -526,20 +564,18 @@ def pretrain_fixture(
         for ex in examples
     ]
 
-    def sequence_loss(j) -> Tensor:
-        feats, seq = sequences[j]
-        return _unpruned_nll(vlm, connector(vlm, feats), seq)
-
-    # Training steps and guard passes fan out to worker threads; everything
-    # they return is folded in serial order, so the bytes do not depend on
-    # the worker count. Decoding for the gate below stays on this thread.
-    with worker_pool() as pool:
+    n, chunk = len(sequences), cfg.batch_scenes
+    tasks = _fixture_tasks(vlm, sequences, chunk)
+    with ForkedWorkers(vlm.parameters(), tasks, _result_floats(vlm, chunk)) as workers:
         optimizer = AdamW(vlm.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
-        guard = MonotoneGuard(optimizer, _mean_nll(pool, vlm, sequences, cfg.batch_scenes))
+        guard = MonotoneGuard(optimizer, _mean_nll(workers, n, chunk))
         epoch_losses: list[float] = [guard.best]
-        step = pooled_mean_gradient(pool, sequence_loss)
-        for _ in train_epochs(optimizer, rng, len(sequences), cfg.batch_scenes, cfg.epochs, step):
-            guard.accept(_mean_nll(pool, vlm, sequences, cfg.batch_scenes))
+
+        def step(indices) -> dict:
+            return fold(workers.run("step", indices))
+
+        for _ in train_epochs(optimizer, rng, n, chunk, cfg.epochs, step):
+            guard.accept(_mean_nll(workers, n, chunk))
             epoch_losses.append(guard.best)
 
     frozen = VLM(vcfg, round_f32(vlm.weights)).freeze()

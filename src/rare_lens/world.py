@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .base import json_object
+from .base import json_object, write_atomic
 from .errors import ArtifactError, ChecksumError, ConfigError, ContractError, DegenerateVectorError
 from .prompting import QUESTION_TEMPLATES
 
@@ -488,7 +488,7 @@ def save_dataset(world: World, out_dir) -> None:
             for sid, meta in sorted(m.scene_meta.items())
         },
     }
-    (out / "manifest.json").write_text(json.dumps(manifest_doc, indent=1, sort_keys=True))
+    write_atomic(out / "manifest.json", json.dumps(manifest_doc, indent=1, sort_keys=True))
     pool_doc = {
         str(cid): {
             "lexical_variants": list(world.pools.lexical_variants[cid]),
@@ -496,7 +496,7 @@ def save_dataset(world: World, out_dir) -> None:
         }
         for cid in range(m.n_classes)
     }
-    (out / "textpool.json").write_text(json.dumps(pool_doc, indent=1, sort_keys=True))
+    write_atomic(out / "textpool.json", json.dumps(pool_doc, indent=1, sort_keys=True))
     for sid, grid in world.grids.items():
         write_scene(out / "scenes" / f"{sid}.bin", grid)
 

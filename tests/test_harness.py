@@ -35,6 +35,21 @@ MINI_DOC = {
 }
 
 
+# A pipeline in half a second, its gates opened: for tests that run many
+# pipelines and compare files, not quality.
+QUICK_DOC = {
+    "seed": 5,
+    "dataset": {"n_classes": 3, "grid": 4, "d_v": 8, "d_t": 8, "rare_count": 1, "rare_n": 5,
+                "common_n": 100, "test_per_class": 2},
+    "fixture": {"epochs": 1, "gate_common": 0.0, "gate_rare": 1.0,
+                "vlm": {"layers": 1, "heads": 2, "dim": 16, "ffn_hidden": 640, "context": 64,
+                        "d_v": 8}},
+    "embeddings": {"dim": 16, "epochs_align": 1, "epochs_joint": 1, "gate_accuracy": 0.0,
+                   "gate_rare_recall": 0.0},
+    "adapter": {"heads": 2, "epochs": 1, "per_class_cap": 2},
+}
+
+
 def read_pgm(path) -> np.ndarray:
     tokens = Path(path).read_text().split()
     assert tokens[0] == "P2", f"{path}: not an ASCII PGM file"
@@ -445,7 +460,7 @@ def _assert_identical_mini_runs(tmp_path, variants):
     at once; assert that every run directory holds the same files, byte for byte.
 
     A child given a CPU set restricts its own affinity to it before rare_lens
-    loads, so its fixture pool has one worker per CPU in the set."""
+    loads, so its fixture runs one process per CPU in the set."""
     cfg_path = tmp_path / "mini.json"
     cfg_path.write_text(json.dumps(MINI_DOC))
     src = str(Path(rare_lens.__file__).resolve().parents[1])
@@ -481,3 +496,69 @@ def test_run_directory_identical_at_one_and_two_blas_threads(tmp_path):
 def test_run_directory_identical_with_one_fixture_worker_and_with_all(tmp_path):
     cpu = min(os.sched_getaffinity(0))
     _assert_identical_mini_runs(tmp_path, {"all_cpus": ("1", None), "one_cpu": ("1", {cpu})})
+
+
+@pytest.fixture(scope="module")
+def quick_run(tmp_path_factory):
+    out = tmp_path_factory.mktemp("quick")
+    run_pipeline(config_from_dict(QUICK_DOC), out)
+    return out
+
+
+def run_files(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def fail_one_replace(monkeypatch, name: str) -> list:
+    """Make the first os.replace onto `name` raise, once its temporary file is written."""
+    real, failed = os.replace, []
+
+    def replace(src, dst):
+        if not failed and Path(dst).as_posix().endswith("/" + name):
+            assert Path(src).stat().st_size > 0
+            failed.append(dst)
+            raise OSError(28, "No space left on device")
+        real(src, dst)
+
+    monkeypatch.setattr(os, "replace", replace)
+    return failed
+
+
+@pytest.mark.parametrize("name", [
+    "dataset/manifest.json", "dataset/textpool.json", "vlm.ckpt", "vocab.json", "classes.ckpt",
+    "adapter.ckpt", "report.json", "run_meta.json"])
+def test_interrupted_artifact_write_resumes_to_an_identical_run(tmp_path, quick_run, monkeypatch,
+                                                                 name):
+    run = tmp_path / "run"
+    with monkeypatch.context() as patch:
+        failed = fail_one_replace(patch, name)
+        with pytest.raises(OSError, match="No space left"):
+            run_pipeline(config_from_dict(QUICK_DOC), run)
+    assert failed
+    assert list(run.rglob("*.tmp")) == []
+    cfg_path = tmp_path / "quick.json"
+    cfg_path.write_text(json.dumps(QUICK_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(run)]) == 0
+    assert list(run.rglob("*.tmp")) == []
+    assert run_files(run) == run_files(quick_run)
+
+
+def test_failed_checkpoint_rewrite_keeps_the_file_its_record_names(tmp_path, quick_run,
+                                                                    monkeypatch):
+    # A torn text pool rebuilds the dataset, which reruns the fixture; its
+    # checkpoint write fails. The old vlm.ckpt, which run_meta.json still
+    # records, must survive whole, so the resume reuses every stage.
+    run = tmp_path / "run"
+    shutil.copytree(quick_run, run)
+    pool = run / "dataset" / "textpool.json"
+    pool.write_bytes(pool.read_bytes()[:100])
+    with monkeypatch.context() as patch:
+        fail_one_replace(patch, "vlm.ckpt")
+        with pytest.raises(OSError, match="No space left"):
+            run_pipeline(config_from_dict(QUICK_DOC), run)
+    reports = _spy_reports(monkeypatch)
+    cfg_path = tmp_path / "quick.json"
+    cfg_path.write_text(json.dumps(QUICK_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(run)]) == 0
+    assert reports[0]["stages_run"] == []
+    assert run_files(run) == run_files(quick_run)

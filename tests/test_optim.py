@@ -1,12 +1,16 @@
 """The bold-driver guard and the one epoch loop every trained piece runs."""
 
 import os
+import signal
+import threading
 
 import numpy as np
+import pytest
 
 from rare_lens import autodiff as ad
 from rare_lens.autodiff import GradTape, Tensor, backward
-from rare_lens.optim import AdamW, MonotoneGuard, train_epochs, worker_pool
+from rare_lens.errors import ContractError
+from rare_lens.optim import AdamW, ForkedWorkers, MonotoneGuard, train_epochs, worker_processes
 
 
 def stepped_optimizer(lr=0.1, steps=3):
@@ -126,17 +130,69 @@ def test_train_epochs_batch_larger_than_n_is_one_full_batch():
     assert opt.t == 2
 
 
-def test_worker_pool_leaves_the_cpus_to_multithreaded_blas(monkeypatch):
+def test_worker_processes_leave_the_cpus_to_multithreaded_blas(monkeypatch):
     cpus = len(os.sched_getaffinity(0))
     for name in ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"):
         monkeypatch.delenv(name, raising=False)
     want = {None: 1, "1": cpus, "0": 1, str(cpus + 1): 1}  # unset and 0 mean every CPU
-    for value, workers in want.items():
+    for value, processes in want.items():
         if value is not None:
             monkeypatch.setenv("OPENBLAS_NUM_THREADS", value)
-        with worker_pool() as pool:
-            assert pool._max_workers == workers, value
+        assert worker_processes() == processes, value
     monkeypatch.setenv("OPENBLAS_NUM_THREADS", "0")
     monkeypatch.setenv("OMP_NUM_THREADS", "1")
-    with worker_pool() as pool:
-        assert pool._max_workers == cpus
+    assert worker_processes() == cpus
+
+
+def echo(items, lo, hi):
+    return [(i, np.full(2, float(i))) for i in items[lo:hi]]
+
+
+def test_forked_workers_make_no_child_while_another_thread_runs():
+    release = threading.Event()
+    other = threading.Thread(target=release.wait)
+    other.start()
+    try:
+        with ForkedWorkers([], {"echo": echo}, 10, processes=2) as workers:
+            assert workers.processes == 1 and workers._children == []
+            assert [key for block in workers.run("echo", range(5)) for key, _ in block] == [0, 1, 2, 3, 4]
+    finally:
+        release.set()
+        other.join(timeout=10)
+    assert not other.is_alive()
+
+
+def test_forked_workers_cut_contiguous_blocks_and_read_the_callers_parameters():
+    # Each block sees the parameter's value at the time of its run(), also
+    # after the caller rebinds the array, as AdamW does. A region of 16
+    # floats holds a block of four items of 4 floats, not one of five.
+    param = Tensor(np.zeros((2, 2)), requires_grad=True)
+
+    def shifted(items, lo, hi):
+        return [(i, param.array.reshape(2, 2) + i) for i in items[lo:hi]]
+
+    with ForkedWorkers([param], {"shifted": shifted}, 16, processes=3) as workers:
+        for value in (1.0, 2.0):
+            param.assign_(np.full((2, 2), value))
+            blocks = workers.run("shifted", range(10))
+            assert [[key for key, _ in block] for block in blocks] == [[0, 1, 2], [3, 4, 5], [6, 7, 8, 9]]
+            for block in blocks:
+                for key, arr in block:
+                    assert np.array_equal(arr, np.full((2, 2), value + key))
+        with pytest.raises(ContractError, match="does not fit its region of 16 floats"):
+            workers.run("shifted", range(14))  # the last child's block has five items
+
+
+def test_a_worker_process_killed_mid_task_raises_instead_of_hanging():
+    def die(items, lo, hi):
+        if lo > 0:  # in the child
+            os.kill(os.getpid(), signal.SIGKILL)
+        return echo(items, lo, hi)
+
+    with ForkedWorkers([], {"die": die}, 10, processes=2) as workers:
+        [(pid, _, _)] = workers._children
+        with pytest.raises(ChildProcessError, match=f"worker process {pid} exited mid-task"):
+            workers.run("die", range(4))
+        assert workers._children == [] and workers.processes == 1
+        with pytest.raises(ProcessLookupError):  # reaped, not even a zombie
+            os.kill(pid, 0)

@@ -2,18 +2,22 @@
 
 import functools
 import gc
+import os
+import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import rare_lens
 from rare_lens import autodiff as ad
+from rare_lens import optim
 from rare_lens import vlm as V
 from rare_lens import world as w
 from rare_lens.autodiff import Tensor
 from rare_lens.errors import ContractError, GateError
-from rare_lens.optim import AdamW, pooled_mean_gradient
+from rare_lens.optim import AdamW, ForkedWorkers, fold, mean_gradient
 
 RNG = np.random.default_rng(11)
 
@@ -358,47 +362,44 @@ FIXTURE_CHUNKS = [[3, 0, 5, 1], [6, 2, 4], [2, 5, 1, 0]]
 
 
 def serial_step(model, features, seqs, chunk):
-    """The fixture's step before the pool: one tape over the chunk, then backward."""
+    """The fixture's serial step: one tape over the chunk, then backward."""
     with ad.GradTape() as tape:
         losses = [V._unpruned_nll(model, V.connector(model, features[j]), seqs[j]) for j in chunk]
         loss = ad.scale(functools.reduce(ad.add, losses), 1.0 / len(chunk))
     return ad.backward(loss, tape)
 
 
-def pooled_step(pool, model, features, seqs):
-    return pooled_mean_gradient(
-        pool, lambda j: V._unpruned_nll(model, V.connector(model, features[j]), seqs[j]))
+def forked_step(model, features, seqs, processes):
+    """ForkedWorkers running the fixture's step on the given sequences."""
+    task = mean_gradient(lambda j: V._unpruned_nll(model, V.connector(model, features[j]), seqs[j]))
+    return ForkedWorkers(model.parameters(), {"step": task}, V._result_floats(model, 4),
+                         processes=processes)
 
 
-# 8 workers, more than the cores and than the largest chunk, run with the
-# interpreter switching threads as often as it can.
-@pytest.mark.parametrize("workers", [1, 2, 8])
-def test_pooled_fixture_step_equals_one_tape_over_the_chunk(workers):
+# Three processes give the chunks of four a middle block, which ships its
+# contributions unsummed; the chunk of three gives every process one item.
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_pooled_fixture_step_equals_one_tape_over_the_chunk(processes):
     features, seqs = fixture_batch(FIXTURE_SHAPES)
     models = [make_vlm(layers=2, heads=2, dim=8, ffn=16) for _ in range(2)]
     optimizers = [AdamW(m.parameters(), lr=2e-3) for m in models]
-    serial, pooled = models
-    switch = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with ThreadPoolExecutor(workers) as pool:
-            step = pooled_step(pool, pooled, features, seqs)
-            for chunk in FIXTURE_CHUNKS:
-                want = serial_step(serial, features, seqs, chunk)
-                got = step(np.array(chunk))
-                for p, q in zip(serial.parameters(), pooled.parameters()):
-                    assert np.array_equal(want[p.id], got[q.id])
-                assert len(got) == len(pooled.parameters())
-                optimizers[0].step(want)
-                optimizers[1].step(got)
-    finally:
-        sys.setswitchinterval(switch)
+    serial, forked = models
+    with forked_step(forked, features, seqs, processes) as workers:
+        assert len(workers._children) == processes - 1
+        for chunk in FIXTURE_CHUNKS:
+            want = serial_step(serial, features, seqs, chunk)
+            got = fold(workers.run("step", chunk))
+            for p, q in zip(serial.parameters(), forked.parameters()):
+                assert np.array_equal(want[p.id], got[q.id])
+            assert len(got) == len(forked.parameters())
+            optimizers[0].step(want)
+            optimizers[1].step(got)
     for name, t in serial.weights.items():
-        assert np.array_equal(t.array, pooled.weights[name].array), name
+        assert np.array_equal(t.array, forked.weights[name].array), name
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_pooled_guard_pass_equals_the_serial_chunk_sum(workers):
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_pooled_guard_pass_equals_the_serial_chunk_sum(processes):
     features, seqs = fixture_batch(FIXTURE_SHAPES)
     model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
     pairs = list(zip(features, seqs))
@@ -407,30 +408,125 @@ def test_pooled_guard_pass_equals_the_serial_chunk_sum(workers):
         part = pairs[s : s + 3]
         visual = V.connector(model, np.concatenate([f for f, _ in part]))
         total += V.batch_nll(model, visual, [q for _, q in part]).item()
-    with ThreadPoolExecutor(workers) as pool:
-        assert V._mean_nll(pool, model, pairs, 3) == total / len(pairs)
+    tasks = V._fixture_tasks(model, pairs, 3)
+    with ForkedWorkers(model.parameters(), tasks, V._result_floats(model, 3), processes=processes) as workers:
+        assert V._mean_nll(workers, len(pairs), 3) == total / len(pairs)
 
 
 def test_fanning_out_records_nothing_on_the_callers_tape_and_frees_worker_tapes():
     features, seqs = fixture_batch(FIXTURE_SHAPES)
     model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
     want = serial_step(model, features, seqs, FIXTURE_CHUNKS[1])
+    pairs = list(zip(features, seqs))
 
     def live_tapes():
         return sum(isinstance(o, ad.GradTape) for o in gc.get_objects())
 
-    with ThreadPoolExecutor(2) as pool:
-        step = pooled_step(pool, model, features, seqs)
+    def open_tapes(items, lo, hi):
+        return [(0, np.array([len(ad._TAPE_STACK.get()) for _ in items[lo:hi]]))]
+
+    tasks = {**V._fixture_tasks(model, pairs, 3), "open_tapes": open_tapes}
+    with ForkedWorkers(model.parameters(), tasks, V._result_floats(model, 4), processes=2) as workers:
         before = live_tapes()
         with ad.GradTape() as outer:
-            got = step(np.array(FIXTURE_CHUNKS[1]))
-            nll = V._mean_nll(pool, model, list(zip(features, seqs)), 3)
+            got = fold(workers.run("step", FIXTURE_CHUNKS[1]))
+            nll = V._mean_nll(workers, len(pairs), 3)
+            depths = workers.run("open_tapes", range(4))
         assert outer.entries == []
-        assert live_tapes() == before + 1  # the caller's own tape, and no worker's
-        assert all(stack == () for stack in pool.map(lambda _: ad._TAPE_STACK.get(), range(4)))
+        assert live_tapes() == before + 1  # the caller's own tape, and no block's
+        assert [d.tolist() for block in depths for _, d in block] == [[0, 0], [0, 0]]
     assert np.isfinite(nll)
     for p in model.parameters():
         assert np.array_equal(want[p.id], got[p.id])
+
+
+def assert_reaped(pids):
+    """Each pid is gone, not even a zombie: a zombie still answers signal 0."""
+    for pid in pids:
+        with pytest.raises(ProcessLookupError):
+            os.kill(pid, 0)
+
+
+def test_an_error_in_a_worker_process_is_raised_in_the_caller():
+    features, seqs = fixture_batch(FIXTURE_SHAPES)
+    model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+
+    def item_loss(j):
+        if j == 5:
+            raise ContractError("sequence 5 is broken")
+        return V._unpruned_nll(model, V.connector(model, features[j]), seqs[j])
+
+    task = mean_gradient(item_loss)
+    with ForkedWorkers(model.parameters(), {"step": task}, V._result_floats(model, 4), processes=2) as workers:
+        pids = [pid for pid, _, _ in workers._children]
+        assert len(pids) == 1
+        with pytest.raises(ContractError, match="sequence 5") as info:
+            workers.run("step", [0, 1, 5, 2])  # the child holds [5, 2]
+        assert any(f"worker process {pids[0]}" in note for note in info.value.__notes__)
+        assert_reaped(pids)
+        # A closed group runs every block in the caller, to the same bits.
+        want = serial_step(model, features, seqs, [0, 1, 6, 2])
+        got = fold(workers.run("step", [0, 1, 6, 2]))
+    for p in model.parameters():
+        assert np.array_equal(want[p.id], got[p.id])
+
+
+def test_no_worker_process_outlives_an_interrupted_fixture(mini_world, monkeypatch):
+    pids, steps = [], []
+    real_fork, real_step = os.fork, AdamW.step
+
+    def fork():
+        pid = real_fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    def step(self, grads):
+        steps.append(self.t)
+        if len(steps) == 3:
+            raise KeyboardInterrupt
+        real_step(self, grads)
+
+    monkeypatch.setattr(optim, "worker_processes", lambda: 2)
+    monkeypatch.setattr(os, "fork", fork)
+    monkeypatch.setattr(AdamW, "step", step)
+    with pytest.raises(KeyboardInterrupt):
+        V.pretrain_fixture(mini_world, MINI_FIXTURE_CFG, seed=MINI_FIXTURE_SEED)
+    assert len(pids) == 1 and len(steps) == 3
+    assert_reaped(pids)
+
+
+def test_worker_processes_never_flush_the_callers_stdout(tmp_path):
+    # Text left in the stdout buffer when the children fork must be written
+    # once, by the caller: a child that flushed its copy would write it again.
+    script = """if True:
+        import os, sys
+        from rare_lens import optim, vlm as V, world as w
+        forks = []
+        real_fork = os.fork
+        def fork():
+            pid = real_fork()
+            forks.append(pid)
+            return pid
+        os.fork = fork
+        optim.worker_processes = lambda: 2
+        world = w.generate_dataset(w.DatasetConfig(
+            n_classes=2, grid=4, d_v=16, d_t=16, rare_count=0, rare_n=5, common_n=100,
+            test_per_class=2, alpha=4.0), seed=13)
+        sys.stdout.write("written before the fixture, not flushed")
+        cfg = V.FixtureConfig(epochs=1, gate_common=0.0, vlm=V.VLMConfig(
+            layers=1, heads=2, dim=8, ffn_hidden=16, context=64, d_v=16))
+        V.pretrain_fixture(world, cfg, seed=0)
+        sys.stderr.write(f"forks {len(forks)}")
+    """
+    src = str(Path(rare_lens.__file__).resolve().parents[1])
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}  # keep it buffered
+    env.update(PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == "forks 1"
+    assert proc.stdout == "written before the fixture, not flushed"
 
 
 def test_vlm_config_needs_a_layer():
