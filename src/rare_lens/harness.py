@@ -32,6 +32,7 @@ from .embeddings import (
 )
 from .errors import ArtifactError, ConfigError, GateError, PairingError
 from .hinting import MODES, SceneContext, detect_and_answer
+from .optim import map_rows
 from .vlm import (
     VLM,
     Tokenizer,
@@ -106,52 +107,62 @@ def _evaluate_arms(
 
     The arms of a scene share one SceneContext, so its score map, visual
     tokens and prompt-prefix K/V are computed once; each answer is still one
-    detect_and_answer call.
+    detect_and_answer call. Scenes are answered independently of each other,
+    so optim.map_rows splits them across forked worker processes: per arm,
+    each scene gives one row of class id, correct, detected and hint-aligned
+    (NaN for an arm without hints), and the rows come back in scene-id
+    order whatever the process count, so the reports do not depend on it.
     """
     m = arts.world.manifest
     name_ids = {arts.tokenizer.index[n]: n for n in m.names}
-    # Per arm, one (class id, correct, detected, hint-aligned or None) per scene.
-    rows: list[list[tuple]] = [[] for _ in arms]
-    for meta in sorted(arts.world.scenes("test"), key=lambda s: s.scene_id):
+    scenes = sorted(arts.world.scenes("test"), key=lambda s: s.scene_id)
+
+    def scene_row(i: int) -> list:
+        meta = scenes[i]
         grid = arts.world.grid(meta.scene_id)
         scene = SceneContext(meta.scene_id)
-        for (mode, k), arm_rows in zip(arms, rows):
+        row = []
+        for mode, k in arms:
             out = detect_and_answer(
                 meta, grid, arts.encoder, arts.learner, arts.adapter, arts.vlm,
                 arts.tokenizer, k=k, mode=mode, max_len=max_len, scene=scene,
             )
-            aligned = None
+            aligned = np.nan
             if mode in ("hints-only", "all-classes-hints", "full"):
                 hinted = out.detection.names if mode != "all-classes-hints" else m.names
                 answered = {name_ids[t] for t in out.generated if t in name_ids}
                 aligned = bool(answered & set(hinted))
-            arm_rows.append(
-                (meta.class_id, out.correct, meta.class_id in out.detection.class_ids, aligned)
-            )
-    return [_report(mode, k, arm_rows, m) for (mode, k), arm_rows in zip(arms, rows)]
+            row += [meta.class_id, out.correct, meta.class_id in out.detection.class_ids, aligned]
+        return row
+
+    rows = map_rows(scene_row, len(scenes), 4 * len(arms))
+    return [_report(mode, k, rows[:, 4 * a : 4 * a + 4], m) for a, (mode, k) in enumerate(arms)]
 
 
-def _report(mode: str, k: int, rows: list[tuple], m) -> EvalReport:
-    per_class_hits: dict[int, list[bool]] = {c: [] for c in range(m.n_classes)}
-    for class_id, correct, _, _ in rows:
-        per_class_hits[class_id].append(correct)
-    aligned = [a for _, _, _, a in rows if a is not None]
-    per_class = {c: float(np.mean(h)) if h else 0.0 for c, h in per_class_hits.items()}
-    counts = {c: len(h) for c, h in per_class_hits.items()}
+def _report(mode: str, k: int, rows: np.ndarray, m) -> EvalReport:
+    """One arm's report from its [scenes, 4] rows of _evaluate_arms.
+
+    Every column holds 0/1 values or class ids, so each mean is a sum of
+    exact integers over a count, whatever the order of the rows.
+    """
+    class_ids, correct, detected, aligned = rows.T
+    counts = {c: int(np.count_nonzero(class_ids == c)) for c in range(m.n_classes)}
+    per_class = {c: float(np.mean(correct[class_ids == c])) if counts[c] else 0.0
+                 for c in range(m.n_classes)}
     rare = [per_class[c] for c in m.rare_ids]
     common = [per_class[c] for c in range(m.n_classes) if c not in m.rare_ids]
-    all_hits = [hit for hits in per_class_hits.values() for hit in hits]
+    aligned = aligned[~np.isnan(aligned)]
     return EvalReport(
         mode=mode,
         k=k,
-        n_scenes=len(all_hits),
-        aggregate_accuracy=float(np.mean(all_hits)),
+        n_scenes=len(rows),
+        aggregate_accuracy=float(np.mean(correct)),
         per_class_accuracy=per_class,
         per_class_counts=counts,
         rare_accuracy=float(np.mean(rare)) if rare else None,
         common_accuracy=float(np.mean(common)) if common else None,
-        detection_accuracy=float(np.mean([detected for _, _, detected, _ in rows])),
-        trust_rate=float(np.mean(aligned)) if aligned else None,
+        detection_accuracy=float(np.mean(detected)),
+        trust_rate=float(np.mean(aligned)) if aligned.size else None,
     )
 
 
@@ -420,7 +431,9 @@ def ablation_sweep(
     """All ablation arms at the configured k, plus a k-sweep of hint injection.
 
     Every arm answers a scene before the loop moves to the next scene, so the
-    arms share each scene's context (see SceneContext).
+    arms share each scene's context (see SceneContext). The scenes run on
+    forked worker processes (see _evaluate_arms), and the reports are the
+    same at any process count.
     """
     reports = _evaluate_arms(
         arts, [(mode, k) for mode in MODES] + [("hints-only", kk) for kk in ks], max_len
@@ -494,7 +507,11 @@ def _probe_one(arts: Artifacts, meta, refined: bool):
 
 
 def probe_report(arts: Artifacts, scene_ids: list[str], out_dir) -> dict:
-    """Per-scene probe files plus test-split aggregates (baseline vs refined)."""
+    """Per-scene probe files plus test-split aggregates (baseline vs refined).
+
+    Runs in the calling process: each scene's rank list has its own length,
+    which map_rows's fixed-width rows do not carry.
+    """
     unknown = [sid for sid in scene_ids if sid not in arts.world.manifest.scene_meta]
     if unknown:
         raise ConfigError(f"unknown scene ids {unknown}")

@@ -1,7 +1,9 @@
 """AdamW, the bold-driver epoch guard, the one epoch loop that drives them,
 and ForkedWorkers: the calling process plus forked children, across which
-fixture training splits its steps and guard passes. Processes share no
-interpreter lock, so the blocks run side by side, where threads take turns.
+fixture training splits its steps and guard passes, and map_rows splits the
+test-split passes (the eval stage, the ablation sweep, the fixture gate)
+scene by scene. Processes share no interpreter lock, so the blocks run side
+by side, where threads take turns.
 """
 
 from __future__ import annotations
@@ -153,6 +155,10 @@ def worker_processes() -> int:
 class ForkedWorkers:
     """The calling process plus forked children, each running one block of items.
 
+    Fixture training (vlm.pretrain_fixture) runs its steps and guard passes
+    on one, with the model's tensors as params; map_rows runs a pass over
+    independent items on one, with no params.
+
     tasks maps a name to a Task; run(name, items) cuts items into one
     contiguous block per process, runs the first block in the caller while
     the children run the others, and returns the blocks' results in block
@@ -288,6 +294,25 @@ class ForkedWorkers:
             exc.add_note(f"raised in worker process {pid}:\n{text}")
             raise exc
         return _unpack(reply[1], region)
+
+
+def map_rows(row: Callable[[int], Sequence[float]], n: int, width: int) -> np.ndarray:
+    """The [n, width] floats whose i-th row is row(i), computed on ForkedWorkers.
+
+    For a pass over n independent items that updates nothing: the children
+    fork here, so row and whatever it reads are inherited, and only item
+    indices and float rows cross between processes. Each block returns its
+    rows as one array and the blocks are stacked in block order, so the
+    result is the same at any process count.
+    """
+
+    def block(items: list, lo: int, hi: int) -> list:
+        rows = np.array([row(i) for i in items[lo:hi]], dtype=np.float64)
+        return [(0, rows.reshape(hi - lo, width))]
+
+    with ForkedWorkers([], {"rows": block}, n * width) as workers:
+        blocks = workers.run("rows", range(n))
+    return np.concatenate([rows for pairs in blocks for _, rows in pairs])
 
 
 def _detached(task: Task, items: list, lo: int, hi: int) -> list:

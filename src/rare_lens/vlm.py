@@ -27,7 +27,9 @@ from .autodiff import Tensor
 from .base import write_atomic
 from .ckpt import round_f32, weights_crc
 from .errors import ArtifactError, ContractError, GateError, ShapeError
-from .optim import AdamW, ForkedWorkers, MonotoneGuard, fold, mean_gradient, train_epochs
+from .optim import (
+    AdamW, ForkedWorkers, MonotoneGuard, fold, map_rows, mean_gradient, train_epochs,
+)
 from .prompting import HINT_SUFFIX, enrich_prompt
 from .world import VisionEncoder, World, random_object_grid
 
@@ -474,14 +476,23 @@ def evaluate_answers(
     split: str = "test",
     max_len: int = 3,
 ) -> dict[int, float]:
-    """Per-class exact-name answer accuracy in plain baseline mode."""
-    per_class: dict[int, list[bool]] = {}
-    for meta in world.scenes(split):
+    """Per-class exact-name answer accuracy in plain baseline mode.
+
+    Scenes are answered independently, so optim.map_rows splits them across
+    forked worker processes, one hit (0 or 1) per scene; the hits come back
+    in split order, so the result does not depend on the process count.
+    """
+    scenes = world.scenes(split)
+
+    def hit(i: int) -> list:
+        meta = scenes[i]
         v = connector(vlm, encoder.encode(world.grid(meta.scene_id)))
         prompt = build_prompt(tokenizer, v.shape[0], meta.question)
-        out = generate(vlm, v, prompt, max_len)
-        name_id = tokenizer.index[meta.answer]
-        per_class.setdefault(meta.class_id, []).append(name_id in out)
+        return [tokenizer.index[meta.answer] in generate(vlm, v, prompt, max_len)]
+
+    per_class: dict[int, list[float]] = {}
+    for meta, ok in zip(scenes, map_rows(hit, len(scenes), 1)[:, 0].tolist()):
+        per_class.setdefault(meta.class_id, []).append(ok)
     return {cid: float(np.mean(oks)) for cid, oks in per_class.items()}
 
 

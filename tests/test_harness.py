@@ -12,10 +12,13 @@ import numpy as np
 import pytest
 
 import rare_lens
-from rare_lens import ckpt, cli
+from rare_lens import ckpt, cli, optim
+from rare_lens import vlm as V
 from rare_lens.config import config_from_dict
+from rare_lens.errors import PairingError
 from rare_lens.harness import ablation_sweep, evaluate, probe_report, report_params, run_pipeline
 from rare_lens.vis import quantize
+from test_vlm import assert_reaped, record_forks
 from test_world import flip_version
 
 MINI_DOC = {
@@ -394,6 +397,9 @@ def test_sweep_equals_uncached_per_arm_reference(pipeline_run, monkeypatch):
             return out
         return call
 
+    # The recorder's list lives in this process: answers made in a forked
+    # worker would never reach it.
+    monkeypatch.setattr(optim, "worker_processes", lambda: 1)
     monkeypatch.setattr(harness, "detect_and_answer", recorded("cached"))
     cached = ablation_sweep(arts, k=2)
     monkeypatch.setattr(hinting, "generate", stepwise_generate)
@@ -405,6 +411,67 @@ def test_sweep_equals_uncached_per_arm_reference(pipeline_run, monkeypatch):
     for mode in cached["arms"]:
         assert cached["arms"][mode].to_dict() == reference["arms"][mode].to_dict()
     assert [r.to_dict() for r in cached["ksweep"]] == [r.to_dict() for r in reference["ksweep"]]
+
+
+def gate_per_class(arts) -> dict:
+    return V.evaluate_answers(arts.vlm, arts.tokenizer, arts.encoder, arts.world)
+
+
+@pytest.fixture(scope="module")
+def in_process_answers(pipeline_run):
+    _, arts, _ = pipeline_run
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(optim, "worker_processes", lambda: 1)
+        return ablation_sweep(arts, k=2), gate_per_class(arts)
+
+
+@pytest.mark.parametrize("processes", [1, 2, 3])
+def test_forked_sweep_and_gate_equal_the_in_process_answers(pipeline_run, in_process_answers,
+                                                            monkeypatch, processes):
+    _, arts, _ = pipeline_run
+    want_sweep, want_gate = in_process_answers
+    monkeypatch.setattr(optim, "worker_processes", lambda: processes)
+    pids = record_forks(monkeypatch)
+    got_sweep = ablation_sweep(arts, k=2)
+    got_gate = gate_per_class(arts)
+    assert len(pids) == 2 * (processes - 1)
+    assert_reaped(pids)
+    assert list(got_sweep["arms"]) == list(want_sweep["arms"])
+    for mode, rep in want_sweep["arms"].items():
+        assert got_sweep["arms"][mode].to_dict() == rep.to_dict()
+    assert [r.to_dict() for r in got_sweep["ksweep"]] == [r.to_dict() for r in want_sweep["ksweep"]]
+    assert list(got_gate.items()) == list(want_gate.items())
+
+
+def test_an_error_in_a_forked_sweep_reaches_the_caller_and_the_cli(tmp_path, pipeline_run,
+                                                                   monkeypatch):
+    from rare_lens import harness
+
+    out, arts, _ = pipeline_run
+    run = tmp_path / "run"
+    shutil.copytree(out, run)
+    cfg_path = tmp_path / "mini.json"
+    cfg_path.write_text(json.dumps(MINI_DOC))
+    # 30 test scenes at 2 processes: the child answers scenes 15 to 29 in id order.
+    broken = sorted(arts.world.manifest.test_ids)[20]
+    real = harness.detect_and_answer
+
+    def answer(meta, *args, **kwargs):
+        if meta.scene_id == broken:
+            raise PairingError(f"scene {broken} is broken")
+        return real(meta, *args, **kwargs)
+
+    monkeypatch.setattr(harness, "detect_and_answer", answer)
+    monkeypatch.setattr(optim, "worker_processes", lambda: 2)
+    pids = record_forks(monkeypatch)
+    with pytest.raises(PairingError, match=f"scene {broken}") as info:
+        ablation_sweep(arts, k=2)
+    assert len(pids) == 1
+    assert any(f"raised in worker process {pids[0]}" in note for note in info.value.__notes__)
+    assert cli.main(["sweep", "--config", str(cfg_path), "--out", str(run)]) == 4
+    assert len(pids) == 2
+    assert not (run / "sweep.csv").exists()
+    assert_reaped(pids)
 
 
 def test_checkpoint_version_change_reruns_checkpoint_stages(tmp_path, pipeline_run, monkeypatch):
@@ -456,8 +523,9 @@ def test_cli_gate_failure_exit_code(tmp_path):
 
 
 def _assert_identical_mini_runs(tmp_path, variants):
-    """Run MINI_DOC's eval in one child per {name: (BLAS threads, CPU set or None)}, all
-    at once; assert that every run directory holds the same files, byte for byte.
+    """Run MINI_DOC's eval, then its sweep, in one child per {name: (BLAS threads, CPU set
+    or None)}, all at once; assert that every run directory holds the same files, byte
+    for byte.
 
     A child given a CPU set restricts its own affinity to it before rare_lens
     loads, so its fixture runs one process per CPU in the set."""
@@ -466,7 +534,8 @@ def _assert_identical_mini_runs(tmp_path, variants):
     src = str(Path(rare_lens.__file__).resolve().parents[1])
     launch = ("import os, sys; cpus = sys.argv.pop(1)\n"
               "if cpus: os.sched_setaffinity(0, {int(c) for c in cpus.split(',')})\n"
-              "from rare_lens.cli import main; sys.exit(main(sys.argv[1:]))")
+              "from rare_lens.cli import main; args = sys.argv[1:]\n"
+              "sys.exit(main(args) or main(['sweep'] + args[1:]))")
     runs = {}
     for name, (threads, cpus) in variants.items():
         env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads,
@@ -480,7 +549,8 @@ def _assert_identical_mini_runs(tmp_path, variants):
         assert proc.returncode == 0, err.decode()
     one, *others = runs
     files = sorted(p.relative_to(one) for p in one.rglob("*") if p.is_file())
-    assert {"vlm.ckpt", "classes.ckpt", "adapter.ckpt", "report.json"} <= {str(p) for p in files}
+    assert {"vlm.ckpt", "classes.ckpt", "adapter.ckpt", "report.json", "sweep.csv"} <= {
+        str(p) for p in files}
     for other in others:
         assert files == sorted(p.relative_to(other) for p in other.rglob("*") if p.is_file())
         for rel in files:

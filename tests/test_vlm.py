@@ -440,6 +440,20 @@ def test_fanning_out_records_nothing_on_the_callers_tape_and_frees_worker_tapes(
         assert np.array_equal(want[p.id], got[p.id])
 
 
+def record_forks(monkeypatch) -> list:
+    """Wrap os.fork so the caller's list receives the pid of every child made."""
+    pids, real = [], os.fork
+
+    def fork():
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
 def assert_reaped(pids):
     """Each pid is gone, not even a zombie: a zombie still answers signal 0."""
     for pid in pids:
@@ -472,14 +486,7 @@ def test_an_error_in_a_worker_process_is_raised_in_the_caller():
 
 
 def test_no_worker_process_outlives_an_interrupted_fixture(mini_world, monkeypatch):
-    pids, steps = [], []
-    real_fork, real_step = os.fork, AdamW.step
-
-    def fork():
-        pid = real_fork()
-        if pid:
-            pids.append(pid)
-        return pid
+    steps, real_step = [], AdamW.step
 
     def step(self, grads):
         steps.append(self.t)
@@ -488,7 +495,7 @@ def test_no_worker_process_outlives_an_interrupted_fixture(mini_world, monkeypat
         real_step(self, grads)
 
     monkeypatch.setattr(optim, "worker_processes", lambda: 2)
-    monkeypatch.setattr(os, "fork", fork)
+    pids = record_forks(monkeypatch)
     monkeypatch.setattr(AdamW, "step", step)
     with pytest.raises(KeyboardInterrupt):
         V.pretrain_fixture(mini_world, MINI_FIXTURE_CFG, seed=MINI_FIXTURE_SEED)
@@ -525,7 +532,7 @@ def test_worker_processes_never_flush_the_callers_stdout(tmp_path):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stderr == "forks 1"
+    assert proc.stderr == "forks 2"  # one child for training, one for the gate
     assert proc.stdout == "written before the fixture, not flushed"
 
 
