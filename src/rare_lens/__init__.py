@@ -21,7 +21,7 @@ from .embeddings import (
 )
 from .harness import Artifacts, EvalReport, ablation_sweep, evaluate, probe_report, report_params, run_pipeline
 from .hinting import DetectionResult, ScoreMap, detect_and_answer, enrich_prompt, score_map, top_k
-from .vlm import VLM, FixtureConfig, Tokenizer, VLMConfig, attention_probe, generate, logit_lens, pretrain_fixture
+from .vlm import VLM, DecodeRequest, FixtureConfig, Tokenizer, VLMConfig, attention_probe, generate, logit_lens, pretrain_fixture
 from .world import DatasetConfig, TextEncoder, VisionEncoder, World, adaptive_resample, crop_and_pool, generate_dataset, load_dataset
 
 __version__ = "0.1.0"
@@ -36,7 +36,7 @@ __all__ = [
     "report_params", "run_pipeline",
     "DetectionResult", "ScoreMap", "detect_and_answer",
     "enrich_prompt", "score_map", "top_k",
-    "VLM", "FixtureConfig", "Tokenizer", "VLMConfig", "attention_probe",
+    "VLM", "DecodeRequest", "FixtureConfig", "Tokenizer", "VLMConfig", "attention_probe",
     "generate", "logit_lens", "pretrain_fixture",
     "DatasetConfig", "TextEncoder", "VisionEncoder", "World",
     "adaptive_resample", "crop_and_pool", "generate_dataset", "load_dataset",

@@ -106,7 +106,8 @@ def _evaluate_arms(
     """Run (mode, k) arms over the test split, scene by scene in id order.
 
     The arms of a scene share one SceneContext, so its score map, visual
-    tokens and prompt-prefix K/V are computed once; each answer is still one
+    tokens and prompt-prefix K/V are computed once and its first answer
+    decodes every arm's in one batch; each answer is still one
     detect_and_answer call. Scenes are answered independently of each other,
     so optim.map_rows splits them across forked worker processes: per arm,
     each scene gives one row of class id, correct, detected and hint-aligned
@@ -120,7 +121,7 @@ def _evaluate_arms(
     def scene_row(i: int) -> list:
         meta = scenes[i]
         grid = arts.world.grid(meta.scene_id)
-        scene = SceneContext(meta.scene_id)
+        scene = SceneContext(meta.scene_id, arms)
         row = []
         for mode, k in arms:
             out = detect_and_answer(
@@ -313,11 +314,9 @@ def _load_adapter(cfg: ExperimentConfig, path: Path, got: dict) -> VisualTokenAd
 def _build_eval(cfg: ExperimentConfig, got: dict, records: dict):
     arts = _artifacts(got)
     inf = cfg.inference
+    arms = [(mode, inf.k) for mode in dict.fromkeys(("baseline", inf.mode))]
     report = {
-        "modes": {
-            mode: evaluate(arts, mode, inf.k, inf.max_answer_len).to_dict()
-            for mode in ("baseline", inf.mode)
-        },
+        "modes": {r.mode: r.to_dict() for r in _evaluate_arms(arts, arms, inf.max_answer_len)},
         "params": report_params(arts),
         "fixture_gate": records["vlm"]["gate"],
     }

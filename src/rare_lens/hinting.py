@@ -4,12 +4,14 @@ The prototype table doubles as a detector bank: projected patch tokens are
 scored against every class by cosine, each class keeps its best patch as a
 global relevance score, and the top-k class names are appended to the prompt
 as ``[Detected: ...]``. Inference modes switch the visual refinement and the
-hint injection independently, mirroring the ablation arms. Arms that answer
-the same scene can share its work through a SceneContext.
+hint injection independently, mirroring the ablation arms. The arms that
+answer one scene share its work through a SceneContext, and their answers
+decode together: one batch per scene, one stacked forward per step.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -20,7 +22,9 @@ from .adapter import VisualTokenAdapter
 from .embeddings import ClassEmbeddingLearner, ClassEmbeddingTable, ProjectionHeads
 from .errors import ContractError, PairingError
 from .prompting import enrich_prompt
-from .vlm import VLM, KVCache, Tokenizer, TokenSequence, build_prompt, connector, forward, generate
+from .vlm import (
+    VLM, DecodeRequest, Tokenizer, TokenSequence, build_prompt, connector, forward, generate,
+)
 from .world import SceneMeta, VisionEncoder
 
 MODES = ("baseline", "visual-only", "hints-only", "all-classes-hints", "full")
@@ -101,30 +105,35 @@ class InferenceOutput:
 
 @dataclass
 class SceneContext:
-    """Inference work that every arm answering one scene can share.
+    """Inference work that the arms answering one scene share.
 
-    detect_and_answer(..., scene=ctx) fills it lazily, inside the first call
-    that needs each part: the score map, the connector tokens, the refined
-    tokens, and for the plain and the refined visual block the K/V of the
-    prompt prefix [visual, bos, question minus its last token]. Hint
-    suffixes follow the question, so every arm's prompt extends that prefix,
-    and stopping one token short leaves each arm at least one row to run.
+    `arms` lists the (mode, k) arms that will answer the scene; asking for
+    another raises ContractError. detect_and_answer(..., scene=ctx) fills
+    the context lazily, inside the first call that needs each part: the
+    score map, the connector tokens, the refined tokens, and the answers of
+    every arm on the list, decoded as one batch by vlm.generate. Arms that
+    send the same prompt ids with the same visual tokens share one request.
+    When two or more requests read one visual block, the K/V of their
+    common prefix [visual, bos, question minus its last token] is computed
+    once: hint suffixes follow the question, so every such prompt extends
+    it, and stopping one token short leaves each at least one row to run.
     A context serves one scene and one set of artifacts; drop it after the
     scene.
     """
 
     scene_id: str
+    arms: list[tuple[str, int]]
     parts: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        unknown = [mode for mode, _ in self.arms if mode not in MODES]
+        if unknown:
+            raise ContractError(f"unknown modes {unknown}; expected some of {MODES}")
 
     def get(self, key, make: Callable):
         if key not in self.parts:
             self.parts[key] = make()
         return self.parts[key]
-
-
-def _prefix_kv(vlm: VLM, tokenizer: Tokenizer, visual: np.ndarray, question: str) -> KVCache:
-    full = build_prompt(tokenizer, visual.shape[0], question)
-    return forward(vlm, ad.Tensor(visual), TokenSequence(full.ids[:-1], full.roles[:-1])).kv
 
 
 def detect_and_answer(
@@ -145,44 +154,67 @@ def detect_and_answer(
     baseline: original tokens, plain prompt. visual-only: refined tokens.
     hints-only: top-k hint suffix. all-classes-hints: every class name as a
     hint. full: refined tokens plus top-k hints. With `scene`, work shared
-    with the other arms of this scene comes from (or goes into) the context.
+    with the other arms of this scene comes from (or goes into) the
+    context, and the first call that decodes answers every arm on its list;
+    without it, this arm is a context of its own and decodes alone.
     """
     if mode not in MODES:
         raise ContractError(f"unknown mode {mode!r}; expected one of {MODES}")
-    ctx = SceneContext(meta.scene_id) if scene is None else scene
+    ctx = SceneContext(meta.scene_id, [(mode, k)]) if scene is None else scene
     if ctx.scene_id != meta.scene_id:
         raise ContractError(f"scene context of {ctx.scene_id} used for {meta.scene_id}")
+    if (mode, k) not in ctx.arms:
+        raise ContractError(f"arm ({mode!r}, {k}) is not among the context's arms {ctx.arms}")
     table = learner.table_
     smap = ctx.get("score_map", lambda: score_map(grid, encoder, learner.heads_, table))
-    detection = top_k(smap, k, table.class_names)
-
     v = ctx.get("visual", lambda: connector(vlm, encoder.encode(grid)).array)
-    refine = mode in ("visual-only", "full")
-    if refine:
+
+    def tokens(refine: bool) -> np.ndarray:
+        if not refine:
+            return v
         if adapter is None:
-            raise ContractError(f"mode {mode!r} needs a trained adapter")
+            raise ContractError("refined modes need a trained adapter")
         if adapter.table_crc_ != table.pair_token:
-            raise PairingError(
-                "adapter was trained against a different class table"
-            )
-        v_hat = ctx.get("refined", lambda: adapter.transform(v, table))
-    else:
-        v_hat = v
+            raise PairingError("adapter was trained against a different class table")
+        return ctx.get("refined", lambda: adapter.transform(v, table))
 
-    if mode in ("hints-only", "full"):
-        prompt_text = enrich_prompt(meta.question, detection.names)
-    elif mode == "all-classes-hints":
-        prompt_text = enrich_prompt(meta.question, table.class_names)
-    else:
-        prompt_text = meta.question
+    def arm(mode: str, k: int):
+        """The arm's detection, whether it reads refined tokens, and its prompt."""
+        detection = top_k(smap, k, table.class_names)
+        if mode in ("hints-only", "full"):
+            text = enrich_prompt(meta.question, detection.names)
+        elif mode == "all-classes-hints":
+            text = enrich_prompt(meta.question, table.class_names)
+        else:
+            text = meta.question
+        return detection, mode in ("visual-only", "full"), text
 
-    prompt = build_prompt(tokenizer, v_hat.shape[0], prompt_text)
-    if scene is None:  # nothing to share: prefill the whole prompt at once
-        generated = generate(vlm, ad.Tensor(v_hat), prompt, max_len)
-    else:
-        past = ctx.get(("prefix", refine),
-                       lambda: _prefix_kv(vlm, tokenizer, v_hat, meta.question))
-        generated = generate(vlm, None, prompt, max_len, past=past)
+    def answer_every_arm() -> dict:
+        prompts: dict = {}  # (refined?, prompt ids) -> prompt, in arm order
+        request_of = {}  # arm -> its key in prompts
+        for arm_mode, arm_k in ctx.arms:
+            _, refine, text = arm(arm_mode, arm_k)
+            prompt = build_prompt(tokenizer, v.shape[0], text)
+            request_of[arm_mode, arm_k] = key = (refine, tuple(prompt.ids))
+            prompts.setdefault(key, prompt)
+        readers = Counter(refine for refine, _ in prompts)
+        question = build_prompt(tokenizer, v.shape[0], meta.question)
+        prefix = TokenSequence(question.ids[:-1], question.roles[:-1])
+        requests = []
+        for (refine, _), prompt in prompts.items():
+            visual = tokens(refine)
+            if readers[refine] > 1:
+                past = ctx.get(("prefix", refine),
+                               lambda: forward(vlm, ad.Tensor(visual), prefix).kv)
+                requests.append(DecodeRequest(None, prompt, past))
+            else:  # nothing to share: prefill the whole prompt at once
+                requests.append(DecodeRequest(ad.Tensor(visual), prompt))
+        answers = dict(zip(prompts, generate(vlm, requests, max_len)))
+        return {a: answers[key] for a, key in request_of.items()}
+
+    detection, refine, prompt_text = arm(mode, k)
+    v_hat = tokens(refine)
+    generated = ctx.get(("answers", max_len), answer_every_arm)[mode, k]
     answer_text = tokenizer.decode([t for t in generated if t != tokenizer.eos])
     correct = tokenizer.index.get(meta.answer) in generated
     return InferenceOutput(

@@ -201,9 +201,9 @@ KVCache = list[tuple[Tensor, Tensor]]
 class ForwardResult:
     logits: Tensor  # [n, vocab]
     hiddens: list[Tensor]  # length layers+1; hiddens[0] is the embedded input
-    attentions: list[np.ndarray]  # per layer [heads, n, past + n]
+    attentions: list[np.ndarray]  # per layer [heads, n, n]
     n_visual: int
-    kv: KVCache  # past plus this call's rows; pass it back as `past` to continue
+    kv: KVCache  # per-layer keys and values of every row; a DecodeRequest's `past`
 
 
 def _decoder_layer(w: dict[str, Tensor], i: int, x: Tensor, attend, rows=None) -> Tensor:
@@ -226,27 +226,16 @@ def _decoder_layer(w: dict[str, Tensor], i: int, x: Tensor, attend, rows=None) -
     return ad.add(x, ad.matmul(ad.gelu(ad.matmul(fnorm, w[f"layer{i}.w1"])), w[f"layer{i}.w2"]))
 
 
-def forward(
-    vlm: VLM, visual: Tensor | None, seq: TokenSequence, past: KVCache | None = None
-) -> ForwardResult:
-    """Teacher-forced pass; strictly causal; keeps hiddens and attention.
-
-    With `past` (the `kv` of an earlier result), seq holds only the positions
-    that follow it, visual must be None, and only seq's rows are computed;
-    they match the same rows of one forward over the whole sequence up to
-    float rounding.
-    """
+def forward(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> ForwardResult:
+    """Teacher-forced pass; strictly causal; keeps hiddens and attention."""
     cfg = vlm.config
     w = vlm.weights
     m = 0 if visual is None else visual.shape[0]
     if m != seq.n_visual:
         raise ContractError(f"sequence declares {seq.n_visual} visual positions, got {m}")
-    start = 0 if past is None else past[0][0].shape[0]
-    if past is not None and m:
-        raise ContractError("a continuation after a K/V cache takes no visual block")
     n = len(seq.ids)
-    if start + n > cfg.context:
-        raise ContractError(f"sequence length {start + n} exceeds context {cfg.context}")
+    if n > cfg.context:
+        raise ContractError(f"sequence length {n} exceeds context {cfg.context}")
     if n == 0:
         raise ContractError("empty sequence")
 
@@ -255,15 +244,12 @@ def forward(
         x = ad.concat_rows([visual, text])
     else:
         x = visual if visual is not None else text
-    x = ad.add(x, ad.gather_rows(w["wpe"], list(range(start, start + n))))
+    x = ad.add(x, ad.gather_rows(w["wpe"], list(range(n))))
 
     attentions: list[np.ndarray] = []
     kv: KVCache = []
 
     def attend(i, q, k, v):
-        if past is not None:
-            k = ad.concat_rows([past[i][0], k])
-            v = ad.concat_rows([past[i][1], v])
         out, weights = ad.multihead_attention(q, k, v, cfg.heads, causal=True)
         kv.append((k, v))
         attentions.append(weights)
@@ -274,6 +260,24 @@ def forward(
         hiddens.append(_decoder_layer(w, i, hiddens[-1], attend))
     logits = ad.matmul(hiddens[-1], vlm.head_tensor())
     return ForwardResult(logits, hiddens, attentions, m, kv)
+
+
+def _embed(w: dict[str, Tensor], visuals: list[Tensor], segments) -> Tensor:
+    """Input rows of stacked segments, one gather from [visuals; wte].
+
+    `segments` yields (visual rows, text ids, first position) per segment;
+    the visual rows of successive segments follow each other in `visuals`.
+    Each row adds the position embedding of its place in its own sequence.
+    """
+    m = sum(v.shape[0] for v in visuals)
+    source, positions, vis_start = [], [], 0
+    for nv, text, start in segments:
+        source.extend(range(vis_start, vis_start + nv))
+        source.extend(m + t for t in text)
+        positions.extend(range(start, start + nv + len(text)))
+        vis_start += nv
+    table = ad.concat_rows([*visuals, w["wte"]]) if visuals else w["wte"]
+    return ad.add(ad.gather_rows(table, source), ad.gather_rows(w["wpe"], positions))
 
 
 def batch_nll(vlm: VLM, visual: Tensor | None, seqs: list[TokenSequence]) -> Tensor:
@@ -298,24 +302,18 @@ def batch_nll(vlm: VLM, visual: Tensor | None, seqs: list[TokenSequence]) -> Ten
     lengths = [len(s.ids) for s in seqs]
     if max(lengths) > cfg.context:
         raise ContractError(f"sequence length {max(lengths)} exceeds context {cfg.context}")
-    # Row r of the stacked batch reads row source[r] of [visual; wte].
-    source, rows, targets = [], [], []
-    vis_start = row_start = 0
-    for seq, nv, n in zip(seqs, n_visual, lengths):
+    rows, targets, row_start = [], [], 0
+    for seq, n in zip(seqs, lengths):
         answers = seq.answer_positions()
         if not answers:
             raise ContractError("no supervised positions in sequence")
         if answers[0] == 0:
             raise ContractError("an answer at position 0 has no row to predict it")
-        source.extend(range(vis_start, vis_start + nv))
-        source.extend(m + t for t in seq.text_ids)
         rows.extend(row_start + p - 1 for p in answers)
         targets.extend(seq.ids[p] for p in answers)
-        vis_start += nv
         row_start += n
-    table = w["wte"] if visual is None else ad.concat_rows([visual, w["wte"]])
-    positions = [p for n in lengths for p in range(n)]
-    x = ad.add(ad.gather_rows(table, source), ad.gather_rows(w["wpe"], positions))
+    x = _embed(w, [] if visual is None else [visual],
+               [(nv, seq.text_ids, 0) for seq, nv in zip(seqs, n_visual)])
 
     last = cfg.layers - 1
     every_row, answer_rows = ad.SegmentPlan(lengths), ad.SegmentPlan(lengths, rows)
@@ -352,36 +350,123 @@ def sequence_nll(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> Tensor:
     return batch_nll(vlm, visual, [seq])
 
 
-def generate(
-    vlm: VLM,
-    visual: Tensor | None,
-    prompt: TokenSequence,
-    max_len: int,
-    past: KVCache | None = None,
-) -> list[int]:
-    """Greedy decoding; ties break to the lowest token id; stops at <eos>.
+@dataclass
+class DecodeRequest:
+    """One prompt to decode, with its visual block or the K/V of its start.
 
-    Prefills the prompt once, then runs one row per generated token on the
-    K/V cache. With `past`, the K/V of the prompt's leading positions
-    (visual block included) are given, visual is None, and only the rest of
-    the prompt is prefilled; at least one prompt position must remain.
-    Returns the generated ids (with the closing <eos> when emitted).
+    `prompt` holds every position, visual ones included. With `past` (the
+    kv of a forward over the prompt's leading positions, visual block
+    included), visual is None and only the rest of the prompt runs; at least
+    one prompt position must remain. Requests may share one past.
     """
-    if not prompt.text_ids:
-        raise ContractError("prompt must be nonempty")
-    start = 0 if past is None else past[0][0].shape[0]
-    if start >= len(prompt.ids):
-        raise ContractError("a K/V cache must leave at least one prompt position to run")
-    seq = TokenSequence(prompt.ids[start:], prompt.roles[start:])
-    out: list[int] = []
+
+    visual: Tensor | None
+    prompt: TokenSequence
+    past: KVCache | None = None
+
+
+def generate(vlm: VLM, requests: list[DecodeRequest], max_len: int) -> list[list[int]]:
+    """Greedy decoding of several prompts in one batch; ties break to the lowest id.
+
+    Each step is one stacked pass (_decode_step) over the new rows of every
+    prompt still decoding: the rest of its prompt on the first step, its
+    last token after that. A prompt stops after <eos> or max_len tokens.
+    Returns each prompt's generated ids (with the closing <eos> when
+    emitted), which equal those of decoding it alone up to float rounding.
+    """
+    cfg = vlm.config
+    visuals, texts, pasts = [], [], []
+    for r in requests:
+        ids, n_visual = r.prompt.ids, r.prompt.n_visual
+        if len(ids) == n_visual:
+            raise ContractError("prompt must be nonempty")
+        past = [] if r.past is None else [(k.array, v.array) for k, v in r.past]
+        start = past[0][0].shape[0] if past else 0
+        if start >= len(ids):
+            raise ContractError("a K/V cache must leave at least one prompt position to run")
+        m = 0 if r.visual is None else r.visual.shape[0]
+        if past and m:
+            raise ContractError("a prompt after a K/V cache takes no visual block")
+        if m != max(0, n_visual - start):
+            raise ContractError(f"prompt declares {n_visual} visual positions, got {m}")
+        visuals.append(r.visual)
+        texts.append(ids[max(start, n_visual):])
+        pasts.append(past)
+    out: list[list[int]] = [[] for _ in requests]
+    if not requests or max_len < 1:
+        return out
+    # Prompt b's keys and values after its past fill rows b * width onward
+    # of one array per layer, in place; pasts are read where they are, so
+    # prompts can share one.
+    width = min(cfg.context, max(len(t) + (0 if v is None else v.shape[0])
+                                 for v, t in zip(visuals, texts)) + max_len - 1)
+    own = [(np.zeros((len(requests) * width, cfg.dim)), np.zeros((len(requests) * width, cfg.dim)))
+           for _ in range(cfg.layers)]
+    ran = [0] * len(requests)
+    live = list(range(len(requests)))
     for _ in range(max_len):
-        result = forward(vlm, visual, seq, past=past)
-        token = int(np.argmax(result.logits.array[-1]))  # first (lowest id) max
-        out.append(token)
-        if token == EOS_ID:
+        if not live:
             break
-        visual, seq, past = None, TokenSequence([token], [Role.ANSWER]), result.kv
+        logits = _decode_step(vlm, own, width,
+                              [(b, visuals[b], texts[b], pasts[b], ran[b]) for b in live])
+        tokens = np.argmax(logits, axis=1).tolist()  # first (lowest id) max per row
+        for b, token in zip(live, tokens):
+            ran[b] += len(texts[b]) + (0 if visuals[b] is None else visuals[b].shape[0])
+            visuals[b], texts[b] = None, [token]
+            out[b].append(token)
+        live = [b for b, token in zip(live, tokens) if token != EOS_ID]
     return out
+
+
+def _decode_step(vlm: VLM, own: list, width: int, batch: list) -> np.ndarray:
+    """One stacked pass over the new rows of several prompts of a batch.
+
+    batch holds (b, visual, ids, past, ran) per prompt: the visual block (or
+    None) and token ids it runs now, its past's per-layer (keys, values)
+    arrays (empty when it has none), and how many rows it ran on earlier
+    steps. own[i] holds layer i's keys and values of the rows prompts ran,
+    prompt b's from row b * width. Rows come from one gather, as in
+    batch_nll; their keys and values go into own, each prompt attends over
+    its past plus its own rows (ad.segment_attention), and the last layer
+    runs only each prompt's last row. Returns those rows' logits,
+    [len(batch), vocab].
+    """
+    cfg, w = vlm.config, vlm.weights
+    starts = [(past[0][0].shape[0] if past else 0) + ran for _, _, _, past, ran in batch]
+    news = [len(ids) + (0 if v is None else v.shape[0]) for _, v, ids, _, _ in batch]
+    lengths = np.add(starts, news)
+    if lengths.max() > cfg.context:
+        raise ContractError(f"sequence length {lengths.max()} exceeds context {cfg.context}")
+    x = _embed(w, [v for _, v, _, _, _ in batch if v is not None],
+               [(n - len(ids), ids, s) for (_, _, ids, _, _), n, s in zip(batch, news, starts)])
+    slots = np.concatenate([np.arange(b * width + ran, b * width + ran + n)
+                            for (b, _, _, _, ran), n in zip(batch, news)])
+    # In the stacked key block, prompt j's keys end at ends[j] and its new
+    # rows are the last news[j] of them.
+    ends = np.cumsum(lengths)
+    every_row = ad.SegmentPlan(lengths, np.concatenate([np.arange(e - n, e)
+                                                        for e, n in zip(ends, news)]))
+    rows, last_rows = None, every_row
+    if max(news) > 1:  # only each prompt's last row reaches the head
+        rows, last_rows = np.cumsum(news) - 1, ad.SegmentPlan(lengths, ends - 1)
+    last = cfg.layers - 1
+
+    def attend(i, q, k, v):
+        keys, values = own[i]
+        keys[slots], values[slots] = k.array, v.array
+        stacked_k, stacked_v = [], []
+        for (b, _, _, past, ran), n in zip(batch, news):
+            if past:
+                stacked_k.append(past[i][0])
+                stacked_v.append(past[i][1])
+            stacked_k.append(keys[b * width : b * width + ran + n])
+            stacked_v.append(values[b * width : b * width + ran + n])
+        k, v = Tensor(np.concatenate(stacked_k)), Tensor(np.concatenate(stacked_v))
+        return ad.segment_attention(q, k, v, cfg.heads, last_rows if i == last else every_row)
+
+    for i in range(cfg.layers):
+        x = _decoder_layer(w, i, x, attend, rows if i == last else None)
+    return ad.matmul(x, vlm.head_tensor()).array
 
 
 # <eos> sits at a fixed slot because specials lead the vocabulary.
@@ -488,7 +573,8 @@ def evaluate_answers(
         meta = scenes[i]
         v = connector(vlm, encoder.encode(world.grid(meta.scene_id)))
         prompt = build_prompt(tokenizer, v.shape[0], meta.question)
-        return [tokenizer.index[meta.answer] in generate(vlm, v, prompt, max_len)]
+        generated = generate(vlm, [DecodeRequest(v, prompt)], max_len)[0]
+        return [tokenizer.index[meta.answer] in generated]
 
     per_class: dict[int, list[float]] = {}
     for meta, ok in zip(scenes, map_rows(hit, len(scenes), 1)[:, 0].tolist()):

@@ -212,7 +212,8 @@ def test_criterion_4_identity_at_init(default_run):
     assert np.array_equal(refined.array, v.array), "refined != V bit-exactly"
     assert A.rec_loss(v, refined).item() == 0.0
     prompt = V.build_prompt(arts.tokenizer, v.shape[0], meta.question)
-    assert V.generate(arts.vlm, refined, prompt, 3) == V.generate(arts.vlm, v, prompt, 3)
+    both = V.generate(arts.vlm, [V.DecodeRequest(refined, prompt), V.DecodeRequest(v, prompt)], 3)
+    assert both[0] == both[1]
 
 
 @criterion(5, "frozen backbone: checksums stable, no gradient path into the VLM")

@@ -15,7 +15,7 @@ import rare_lens
 from rare_lens import ckpt, cli, optim
 from rare_lens import vlm as V
 from rare_lens.config import config_from_dict
-from rare_lens.errors import PairingError
+from rare_lens.errors import ContractError, PairingError
 from rare_lens.harness import ablation_sweep, evaluate, probe_report, report_params, run_pipeline
 from rare_lens.vis import quantize
 from test_vlm import assert_reaped, record_forks
@@ -402,7 +402,12 @@ def test_sweep_equals_uncached_per_arm_reference(pipeline_run, monkeypatch):
     monkeypatch.setattr(optim, "worker_processes", lambda: 1)
     monkeypatch.setattr(harness, "detect_and_answer", recorded("cached"))
     cached = ablation_sweep(arts, k=2)
-    monkeypatch.setattr(hinting, "generate", stepwise_generate)
+    def uncached(vlm, requests, max_len):
+        (request,) = requests  # a context of one arm sends its whole prompt alone
+        assert request.past is None
+        return [stepwise_generate(vlm, request.visual, request.prompt, max_len)]
+
+    monkeypatch.setattr(hinting, "generate", uncached)
     monkeypatch.setattr(harness, "detect_and_answer", recorded("reference"))
     reference = ablation_sweep(arts, k=2)
 
@@ -411,6 +416,30 @@ def test_sweep_equals_uncached_per_arm_reference(pipeline_run, monkeypatch):
     for mode in cached["arms"]:
         assert cached["arms"][mode].to_dict() == reference["arms"][mode].to_dict()
     assert [r.to_dict() for r in cached["ksweep"]] == [r.to_dict() for r in reference["ksweep"]]
+
+
+def test_answers_do_not_depend_on_the_batch_they_decode_in(pipeline_run):
+    from rare_lens.hinting import MODES, SceneContext, detect_and_answer
+
+    _, arts, _ = pipeline_run
+    arms = [(mode, 2) for mode in MODES] + [("hints-only", k) for k in range(1, 10)]
+    assert len(arms) == 14  # the sweep's arms at k=2
+
+    def answer(meta, mode, k, scene):
+        out = detect_and_answer(
+            meta, arts.world.grid(meta.scene_id), arts.encoder, arts.learner, arts.adapter,
+            arts.vlm, arts.tokenizer, k=k, mode=mode, scene=scene,
+        )
+        return out.generated, out.prompt_text, out.detection
+
+    for meta in arts.world.scenes("test"):
+        every_arm = SceneContext(meta.scene_id, arms)
+        for mode, k in arms:
+            together = answer(meta, mode, k, every_arm)
+            assert together == answer(meta, mode, k, SceneContext(meta.scene_id, [(mode, k)]))
+            assert together == answer(meta, mode, k, None)
+        with pytest.raises(ContractError, match="not among"):
+            answer(meta, "full", 3, every_arm)
 
 
 def gate_per_class(arts) -> dict:

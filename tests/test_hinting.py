@@ -130,7 +130,7 @@ def test_baseline_mode_matches_plain_generation_byte_for_byte(inference_stack):
     )
     v = V.connector(model, encoder.encode(grid))
     prompt = V.build_prompt(tokenizer, v.shape[0], meta.question)
-    assert out.generated == V.generate(model, v, prompt, 3)
+    assert out.generated == V.generate(model, [V.DecodeRequest(v, prompt)], 3)[0]
     assert out.prompt_text == meta.question
 
 
@@ -194,7 +194,7 @@ def test_scene_context_shares_work_and_keeps_answers(inference_stack):
     world, encoder, learner, adapter, model, tokenizer = inference_stack
     meta = world.scenes("test")[4]
     grid = world.grid(meta.scene_id)
-    scene = H.SceneContext(meta.scene_id)
+    scene = H.SceneContext(meta.scene_id, [(mode, 3) for mode in H.MODES])
     for mode in H.MODES:
         alone = H.detect_and_answer(
             meta, grid, encoder, learner, adapter, model, tokenizer, mode=mode
@@ -205,7 +205,7 @@ def test_scene_context_shares_work_and_keeps_answers(inference_stack):
         assert shared.generated == alone.generated
         assert shared.prompt_text == alone.prompt_text
     assert set(scene.parts) == {
-        "score_map", "visual", "refined", ("prefix", False), ("prefix", True)
+        "score_map", "visual", "refined", ("prefix", False), ("prefix", True), ("answers", 3)
     }
 
 
@@ -215,5 +215,5 @@ def test_scene_context_rejects_another_scene(inference_stack):
     with pytest.raises(ContractError):
         H.detect_and_answer(
             second, world.grid(second.scene_id), encoder, learner, adapter, model,
-            tokenizer, mode="baseline", scene=H.SceneContext(first.scene_id),
+            tokenizer, mode="baseline", scene=H.SceneContext(first.scene_id, [("baseline", 3)]),
         )

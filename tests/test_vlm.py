@@ -154,11 +154,15 @@ def stepwise_generate(model, visual, prompt, max_len, on_forward=None):
     return out
 
 
+def generate_one(model, visual, prompt, max_len, past=None):
+    return V.generate(model, [V.DecodeRequest(visual, prompt, past)], max_len)[0]
+
+
 def test_generate_deterministic_and_matches_stepwise_oracle():
     model = make_vlm(layers=2, heads=2, dim=8, vocab=11)
     prompt = seq_of([4, 2, 7])
-    first = V.generate(model, None, prompt, max_len=5)
-    assert first == V.generate(model, None, prompt, max_len=5)
+    first = generate_one(model, None, prompt, max_len=5)
+    assert first == generate_one(model, None, prompt, max_len=5)
     assert first == stepwise_generate(model, None, prompt, max_len=5)
 
 
@@ -169,36 +173,91 @@ def test_generate_with_visual_and_past_matches_stepwise_oracle():
         tail = list(np.random.default_rng(seed).integers(2, 11, size=4))
         prompt = seq_of([0] * 3 + tail, n_visual=3)
         expect = stepwise_generate(model, visual, prompt, max_len=6)
-        assert V.generate(model, visual, prompt, max_len=6) == expect
+        assert generate_one(model, visual, prompt, max_len=6) == expect
         for cut in (3, 4, len(prompt.ids) - 1):
             head = V.TokenSequence(prompt.ids[:cut], prompt.roles[:cut])
             past = V.forward(model, visual, head).kv
-            assert V.generate(model, None, prompt, max_len=6, past=past) == expect
+            assert generate_one(model, None, prompt, max_len=6, past=past) == expect
 
 
-def test_forward_with_past_matches_full_forward_rows():
+def random_prompt(seed):
+    """(visual or None, prompt): 0-3 visual rows, then 1-5 text tokens."""
+    rng = np.random.default_rng(seed)
+    n_visual = int(rng.integers(0, 4))
+    tail = list(rng.integers(2, 11, size=int(rng.integers(1, 6))))
+    visual = Tensor(rng.normal(size=(n_visual, 8))) if n_visual else None
+    return visual, seq_of([0] * n_visual + tail, n_visual=n_visual)
+
+
+@pytest.fixture(scope="module")
+def mixed_batch():
+    """A batch mixing every kind of request, with the per-prompt oracle answers.
+
+    From a fixed pool of random prompts it takes ones that stop at <eos> on
+    the first and on the second step and ones that never stop, and runs
+    them with and without a visual block, from and without a past K/V (cut
+    after the visual block or later), at different lengths, with one
+    request repeated and one past shared by two prompts. Returns (model, requests, oracle visual per request,
+    oracle answers, max_len).
+    """
     model = make_vlm(layers=2, heads=2, dim=8, vocab=11, d_v=8)
-    visual = Tensor(RNG.normal(size=(3, 8)))
-    seq = seq_of([0] * 3 + [4, 2, 7, 9, 5], n_visual=3, n_answer=2)
-    full = V.forward(model, visual, seq)
-    for cut in (3, 5, 7):
-        head = V.forward(model, visual, V.TokenSequence(seq.ids[:cut], seq.roles[:cut]))
-        tail = V.forward(
-            model, None, V.TokenSequence(seq.ids[cut:], seq.roles[cut:]), past=head.kv
-        )
-        expect = full.logits.array[cut:]
-        assert np.abs(tail.logits.array - expect).max() <= 1e-12 * np.abs(expect).max()
-        for (k, v), (fk, fv) in zip(tail.kv, full.kv):
-            assert k.shape == fk.shape and v.shape == fv.shape
-        assert tail.attentions[0].shape == (2, len(seq.ids) - cut, len(seq.ids))
+    max_len = 6
+    by_stop: dict = {}
+    for seed in range(400):
+        visual, prompt = random_prompt(seed)
+        out = stepwise_generate(model, visual, prompt, max_len)
+        stop = len(out) if out[-1] == V.EOS_ID else None
+        by_stop.setdefault((stop, visual is None, len(prompt.ids) > 4), []).append((visual, prompt))
+    picked = [pairs[0] for pairs in by_stop.values()]
+    assert {stop for stop, _, _ in by_stop} >= {1, 2, None}
+    requests, visuals = [], []
+    for j, (visual, prompt) in enumerate(picked):
+        cut = max(1, prompt.n_visual + j % 3)  # at or after the visual block
+        if j % 2 and cut < len(prompt.ids):
+            past = V.forward(model, visual, V.TokenSequence(prompt.ids[:cut], prompt.roles[:cut])).kv
+            requests.append(V.DecodeRequest(None, prompt, past))
+        else:
+            requests.append(V.DecodeRequest(visual, prompt))
+        visuals.append(visual)
+    shared = requests[1]  # repeated, and extended on one shared past
+    longer = V.TokenSequence(shared.prompt.ids + [5, 3], shared.prompt.roles + [V.Role.PROMPT] * 2)
+    requests += [shared, V.DecodeRequest(None, longer, shared.past)]
+    visuals += [visuals[1], visuals[1]]
+    assert shared.past is not None
+    assert any(r.past is not None for r in requests) and any(r.past is None for r in requests)
+    assert any(r.visual is not None for r in requests) and any(v is None for v in visuals)
+    expect = [stepwise_generate(model, v, r.prompt, max_len) for v, r in zip(visuals, requests)]
+    assert len({len(out) for out in expect}) > 1
+    return model, requests, visuals, expect, max_len
 
 
-def test_forward_with_past_rejects_visual_block():
-    model = make_vlm(d_v=8)
-    visual = Tensor(RNG.normal(size=(2, 8)))
-    past = V.forward(model, visual, seq_of([0, 0, 3], n_visual=2)).kv
-    with pytest.raises(ContractError):
-        V.forward(model, visual, seq_of([0, 0, 4], n_visual=2), past=past)
+def test_batched_generate_equals_the_per_prompt_oracle(mixed_batch):
+    model, requests, _, expect, max_len = mixed_batch
+    assert V.generate(model, requests, max_len) == expect
+    for r, out in zip(requests, expect):
+        assert V.generate(model, [r], max_len) == [out]
+
+
+def test_batched_generate_step_logits_match_per_prompt_forwards(mixed_batch, monkeypatch):
+    model, requests, visuals, expect, max_len = mixed_batch
+    steps = []
+    real = V._decode_step
+
+    def recorded(*args):
+        steps.append(real(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(V, "_decode_step", recorded)
+    V.generate(model, requests, max_len)
+    assert len(steps) == max(len(out) for out in expect)
+    for s, logits in enumerate(steps):
+        live = [b for b, out in enumerate(expect) if len(out) > s]
+        assert logits.shape == (len(live), 11)
+        for row, b in zip(logits, live):
+            prompt, tokens = requests[b].prompt, expect[b][:s]
+            seq = V.TokenSequence(prompt.ids + tokens, prompt.roles + [V.Role.ANSWER] * s)
+            want = V.forward(model, visuals[b], seq).logits.array[-1]
+            assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
 
 def test_generate_context_overflow_raises_at_the_uncached_step(monkeypatch):
@@ -214,36 +273,57 @@ def test_generate_context_overflow_raises_at_the_uncached_step(monkeypatch):
         stepwise_generate(model, None, prompt, max_len=3, on_forward=oracle_step)
     assert done["oracle"] == 2  # lengths 63 and 64 run; 65 does not
 
-    real = V.forward
+    real = V._decode_step
 
-    def counted(*args, **kwargs):
-        out = real(*args, **kwargs)
+    def counted(*args):
+        out = real(*args)
         done["cached"] += 1
         return out
 
-    monkeypatch.setattr(V, "forward", counted)
+    monkeypatch.setattr(V, "_decode_step", counted)
     with pytest.raises(ContractError, match="exceeds context"):
-        V.generate(model, None, prompt, max_len=3)
+        generate_one(model, None, prompt, max_len=3)
+    assert done["cached"] == done["oracle"]
+    # In a batch, the longest prompt overflows at its own step.
+    done["cached"] = 0
+    with pytest.raises(ContractError, match="exceeds context"):
+        V.generate(model, [V.DecodeRequest(None, seq_of([4, 2])),
+                           V.DecodeRequest(None, prompt)], max_len=3)
     assert done["cached"] == done["oracle"]
 
 
-def test_generate_max_len_zero_is_empty(monkeypatch):
+def test_generate_max_len_zero_is_empty(mixed_batch, monkeypatch):
     model = make_vlm()
     past = V.forward(model, None, seq_of([1])).kv
+    batch_model, requests, _, _, _ = mixed_batch
 
     def no_forward(*args, **kwargs):
         raise AssertionError("forward ran")
 
     monkeypatch.setattr(V, "forward", no_forward)
-    assert V.generate(model, None, seq_of([1, 2]), max_len=0) == []
-    assert V.generate(model, None, seq_of([1, 2]), max_len=0, past=past) == []
+    monkeypatch.setattr(V, "_decode_step", no_forward)
+    assert generate_one(model, None, seq_of([1, 2]), max_len=0) == []
+    assert generate_one(model, None, seq_of([1, 2]), max_len=0, past=past) == []
+    assert V.generate(batch_model, requests, max_len=0) == [[] for _ in requests]
+    assert V.generate(batch_model, [], max_len=3) == []
 
 
 def test_generate_past_must_leave_a_prompt_position():
     model = make_vlm()
     past = V.forward(model, None, seq_of([1, 2])).kv
     with pytest.raises(ContractError):
-        V.generate(model, None, seq_of([1, 2]), max_len=2, past=past)
+        generate_one(model, None, seq_of([1, 2]), max_len=2, past=past)
+
+
+def test_generate_rejects_a_visual_block_after_a_past():
+    model = make_vlm(d_v=8)
+    visual = Tensor(RNG.normal(size=(2, 8)))
+    past = V.forward(model, visual, seq_of([0, 0, 3], n_visual=2)).kv
+    with pytest.raises(ContractError):
+        generate_one(model, visual, seq_of([0, 0, 3, 4], n_visual=2), max_len=2, past=past)
+    inside = V.forward(model, Tensor(visual.array[:1]), seq_of([0], n_visual=1)).kv
+    with pytest.raises(ContractError):  # a cache that ends inside the visual block
+        generate_one(model, None, seq_of([0, 0, 3, 4], n_visual=2), max_len=2, past=inside)
 
 
 def test_sequence_nll_uniform_logits_analytic():
