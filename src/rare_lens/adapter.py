@@ -76,7 +76,7 @@ def adapt(
     q = ad.matmul(v, params["wq"])
     k = ad.matmul(table_w, params["wk"])
     val = ad.matmul(table_w, params["wv"])
-    mixed, weights = ad.multihead_attention(q, k, val, heads, causal=False)
+    mixed, weights = ad.multihead_attention(q, k, val, heads, None)
     refined = ad.add(v, ad.matmul(mixed, params["wo"]))
     return refined, weights
 

@@ -428,21 +428,26 @@ def cosine_matrix(a: Tensor, b: Tensor) -> Tensor:
 @functools.lru_cache(maxsize=256)
 def _causal_mask(n: int, m: int) -> np.ndarray:
     """Additive [n, m] mask: query row i sits at key position m - n + i."""
+    if n > m:
+        raise ShapeError(f"causal attention needs no more queries than keys, got {n} > {m}")
     mask = np.triu(np.full((n, m), -np.inf), k=m - n + 1)
     mask.flags.writeable = False
     return mask
 
 
 def multihead_attention(
-    q: Tensor, k: Tensor, v: Tensor, n_heads: int, causal: bool
+    q: Tensor, k: Tensor, v: Tensor, n_heads: int, mask: np.ndarray | None
 ) -> tuple[Tensor, np.ndarray]:
     """Scaled dot-product attention over n_heads column blocks.
 
     q is [n, d]; k and v are [m, d]; the result is [n, d] plus the attention
     weights [n_heads, n, m] (plain array, for probing). Scale is
-    1/sqrt(d / n_heads). With causal=True (requires n <= m) the n queries are
-    the last n of the m key positions and each attends to the keys at or
-    before its own position; rows always sum to 1.
+    1/sqrt(d / n_heads). `mask`, an additive [n, m] array or None, is added
+    to every head's scores: 0 where a query sees a key, -inf where it does
+    not, and each query must see at least one key; rows always sum to 1.
+    _causal_mask(n, m) makes the n queries the last n of the m key
+    positions, each seeing the keys at or before its own; a decoding trie
+    (vlm.generate) lets each row see its ancestors and itself.
     """
     n, d = q.shape
     m = k.shape[0]
@@ -450,19 +455,23 @@ def multihead_attention(
         raise ShapeError(f"head count {n_heads} must divide width {d}")
     if k.shape[1] != d or v.shape != k.shape:
         raise ShapeError(f"attention shapes differ: q {q.shape}, k {k.shape}, v {v.shape}")
-    if causal and n > m:
-        raise ShapeError(f"causal attention needs no more queries than keys, got {n} > {m}")
+    if mask is not None and mask.shape != (n, m):
+        raise ShapeError(f"attention mask {mask.shape} does not fit {n} queries over {m} keys")
     dh = d // n_heads
     scale = 1.0 / np.sqrt(dh)
     # [heads, len, dh] views; batched matmul beats einsum at these sizes.
     qh = q.array.reshape(n, n_heads, dh).transpose(1, 0, 2)
     kh = k.array.reshape(m, n_heads, dh).transpose(1, 0, 2)
     vh = v.array.reshape(m, n_heads, dh).transpose(1, 0, 2)
-    scores = (qh @ kh.transpose(0, 2, 1)) * scale
-    if causal:
-        scores = scores + _causal_mask(n, m)
-    z = np.exp(scores - scores.max(axis=2, keepdims=True))
-    weights = z / z.sum(axis=2, keepdims=True)
+    # The softmax runs in place on one [heads, n, m] array, with the same
+    # operations (so the same bits) as the plain expression.
+    weights = qh @ kh.transpose(0, 2, 1)
+    weights *= scale
+    if mask is not None:
+        weights += mask
+    weights -= weights.max(axis=2, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=2, keepdims=True)
     out = _out((weights @ vh).transpose(1, 0, 2).reshape(n, d))
     memo: list = [None, None]  # backward hands vjp_q and vjp_k the same g
 
@@ -534,7 +543,7 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, plan: Segme
     q is [plan.n_queries, d]; k and v are [plan.n_rows, d]; the result is
     [plan.n_queries, d]. One tape entry: rows are padded to [B, H, L, dh]
     inside and gathered back, and each query row equals that row of
-    multihead_attention(causal=True) over its own segment up to rounding.
+    multihead_attention with _causal_mask over its own segment up to rounding.
     """
     n, d = q.shape
     if d % n_heads:

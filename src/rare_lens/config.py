@@ -108,7 +108,11 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 def load_config(path) -> ExperimentConfig:
     try:
-        doc = json.loads(Path(path).read_text())
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"{path}: cannot read the config ({exc})") from exc
+    try:
+        doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: invalid JSON ({exc})") from exc
     return config_from_dict(doc)

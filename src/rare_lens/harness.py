@@ -105,9 +105,9 @@ def _evaluate_arms(
 ) -> list[EvalReport]:
     """Run (mode, k) arms over the test split, scene by scene in id order.
 
-    The arms of a scene share one SceneContext, so its score map, visual
-    tokens and prompt-prefix K/V are computed once and its first answer
-    decodes every arm's in one batch; each answer is still one
+    The arms of a scene share one SceneContext, so its score map and visual
+    tokens are computed once and its first answer decodes every arm's in one
+    prefix trie, whose shared prompt rows run once; each answer is still one
     detect_and_answer call. Scenes are answered independently of each other,
     so optim.map_rows splits them across forked worker processes: per arm,
     each scene gives one row of class id, correct, detected and hint-aligned

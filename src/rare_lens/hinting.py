@@ -6,12 +6,12 @@ global relevance score, and the top-k class names are appended to the prompt
 as ``[Detected: ...]``. Inference modes switch the visual refinement and the
 hint injection independently, mirroring the ablation arms. The arms that
 answer one scene share its work through a SceneContext, and their answers
-decode together: one batch per scene, one stacked forward per step.
+decode together: one prefix trie per scene (vlm.generate), prefilled in one
+pass, then one pass per step.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -22,9 +22,7 @@ from .adapter import VisualTokenAdapter
 from .embeddings import ClassEmbeddingLearner, ClassEmbeddingTable, ProjectionHeads
 from .errors import ContractError, PairingError
 from .prompting import enrich_prompt
-from .vlm import (
-    VLM, DecodeRequest, Tokenizer, TokenSequence, build_prompt, connector, forward, generate,
-)
+from .vlm import VLM, DecodeRequest, Tokenizer, build_prompt, connector, generate
 from .world import SceneMeta, VisionEncoder
 
 MODES = ("baseline", "visual-only", "hints-only", "all-classes-hints", "full")
@@ -111,14 +109,12 @@ class SceneContext:
     another raises ContractError. detect_and_answer(..., scene=ctx) fills
     the context lazily, inside the first call that needs each part: the
     score map, the connector tokens, the refined tokens, and the answers of
-    every arm on the list, decoded as one batch by vlm.generate. Arms that
-    send the same prompt ids with the same visual tokens share one request.
-    When two or more requests read one visual block, the K/V of their
-    common prefix [visual, bos, question minus its last token] is computed
-    once: hint suffixes follow the question, so every such prompt extends
-    it, and stopping one token short leaves each at least one row to run.
-    A context serves one scene and one set of artifacts; drop it after the
-    scene.
+    every arm on the list, from one vlm.generate call with one request per
+    arm. The arms that read one set of visual tokens pass one Tensor, so
+    the trie holds their visual, bos and question rows once; the hint
+    suffixes follow the question, so k-sweep prompts also share their
+    leading hints, and arms that send equal prompts decode once. A context
+    serves one scene and one set of artifacts; drop it after the scene.
     """
 
     scene_id: str
@@ -190,27 +186,15 @@ def detect_and_answer(
         return detection, mode in ("visual-only", "full"), text
 
     def answer_every_arm() -> dict:
-        prompts: dict = {}  # (refined?, prompt ids) -> prompt, in arm order
-        request_of = {}  # arm -> its key in prompts
+        visuals: dict = {}  # refined? -> one Tensor, so its arms share trie rows
+        requests = []
         for arm_mode, arm_k in ctx.arms:
             _, refine, text = arm(arm_mode, arm_k)
+            if refine not in visuals:
+                visuals[refine] = ad.Tensor(tokens(refine))
             prompt = build_prompt(tokenizer, v.shape[0], text)
-            request_of[arm_mode, arm_k] = key = (refine, tuple(prompt.ids))
-            prompts.setdefault(key, prompt)
-        readers = Counter(refine for refine, _ in prompts)
-        question = build_prompt(tokenizer, v.shape[0], meta.question)
-        prefix = TokenSequence(question.ids[:-1], question.roles[:-1])
-        requests = []
-        for (refine, _), prompt in prompts.items():
-            visual = tokens(refine)
-            if readers[refine] > 1:
-                past = ctx.get(("prefix", refine),
-                               lambda: forward(vlm, ad.Tensor(visual), prefix).kv)
-                requests.append(DecodeRequest(None, prompt, past))
-            else:  # nothing to share: prefill the whole prompt at once
-                requests.append(DecodeRequest(ad.Tensor(visual), prompt))
-        answers = dict(zip(prompts, generate(vlm, requests, max_len)))
-        return {a: answers[key] for a, key in request_of.items()}
+            requests.append(DecodeRequest(visuals[refine], prompt))
+        return dict(zip(ctx.arms, generate(vlm, requests, max_len)))
 
     detection, refine, prompt_text = arm(mode, k)
     v_hat = tokens(refine)

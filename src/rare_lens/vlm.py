@@ -193,17 +193,12 @@ def connector(vlm: VLM, features: Tensor | np.ndarray) -> Tensor:
     return ad.matmul(u, vlm.weights["connector"])
 
 
-# Per-layer (keys, values), each [positions run so far, dim].
-KVCache = list[tuple[Tensor, Tensor]]
-
-
 @dataclass
 class ForwardResult:
     logits: Tensor  # [n, vocab]
     hiddens: list[Tensor]  # length layers+1; hiddens[0] is the embedded input
     attentions: list[np.ndarray]  # per layer [heads, n, n]
     n_visual: int
-    kv: KVCache  # per-layer keys and values of every row; a DecodeRequest's `past`
 
 
 def _decoder_layer(w: dict[str, Tensor], i: int, x: Tensor, attend, rows=None) -> Tensor:
@@ -247,11 +242,9 @@ def forward(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> ForwardResul
     x = ad.add(x, ad.gather_rows(w["wpe"], list(range(n))))
 
     attentions: list[np.ndarray] = []
-    kv: KVCache = []
 
     def attend(i, q, k, v):
-        out, weights = ad.multihead_attention(q, k, v, cfg.heads, causal=True)
-        kv.append((k, v))
+        out, weights = ad.multihead_attention(q, k, v, cfg.heads, ad._causal_mask(n, n))
         attentions.append(weights)
         return out
 
@@ -259,7 +252,7 @@ def forward(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> ForwardResul
     for i in range(cfg.layers):
         hiddens.append(_decoder_layer(w, i, hiddens[-1], attend))
     logits = ad.matmul(hiddens[-1], vlm.head_tensor())
-    return ForwardResult(logits, hiddens, attentions, m, kv)
+    return ForwardResult(logits, hiddens, attentions, m)
 
 
 def _embed(w: dict[str, Tensor], visuals: list[Tensor], segments) -> Tensor:
@@ -352,118 +345,111 @@ def sequence_nll(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> Tensor:
 
 @dataclass
 class DecodeRequest:
-    """One prompt to decode, with its visual block or the K/V of its start.
+    """One prompt to decode with its visual block (None when it has none).
 
-    `prompt` holds every position, visual ones included. With `past` (the
-    kv of a forward over the prompt's leading positions, visual block
-    included), visual is None and only the rest of the prompt runs; at least
-    one prompt position must remain. Requests may share one past.
+    `prompt` holds every position, visual ones included. Requests that pass
+    the same visual Tensor object share its rows in generate's trie; equal
+    values in another Tensor do not.
     """
 
     visual: Tensor | None
     prompt: TokenSequence
-    past: KVCache | None = None
 
 
 def generate(vlm: VLM, requests: list[DecodeRequest], max_len: int) -> list[list[int]]:
     """Greedy decoding of several prompts in one batch; ties break to the lowest id.
 
-    Each step is one stacked pass (_decode_step) over the new rows of every
-    prompt still decoding: the rest of its prompt on the first step, its
-    last token after that. A prompt stops after <eos> or max_len tokens.
-    Returns each prompt's generated ids (with the closing <eos> when
-    emitted), which equal those of decoding it alone up to float rounding.
+    The prompts form one token trie with a row per distinct prefix: a visual
+    row is keyed by the visual Tensor it comes from (by identity) and its
+    position, a text row by its token id under its parent row. One
+    _decode_step pass prefills every row, each attending to its ancestors
+    and itself, and gives the first token of every prompt. Requests whose
+    prompts end on one row decode once. After that each prompt still
+    decoding adds one row per step that sees its own path. A prompt stops
+    after <eos> or max_len tokens. Returns each request's generated ids
+    (with the closing <eos> when emitted), which equal those of decoding it
+    alone up to float rounding.
     """
     cfg = vlm.config
-    visuals, texts, pasts = [], [], []
+    row_of: dict = {}  # (parent row, (id(visual), position) or token id) -> row
+    parents, segments, visuals, ends = [], [], [], []
     for r in requests:
         ids, n_visual = r.prompt.ids, r.prompt.n_visual
         if len(ids) == n_visual:
             raise ContractError("prompt must be nonempty")
-        past = [] if r.past is None else [(k.array, v.array) for k, v in r.past]
-        start = past[0][0].shape[0] if past else 0
-        if start >= len(ids):
-            raise ContractError("a K/V cache must leave at least one prompt position to run")
         m = 0 if r.visual is None else r.visual.shape[0]
-        if past and m:
-            raise ContractError("a prompt after a K/V cache takes no visual block")
-        if m != max(0, n_visual - start):
+        if m != n_visual:
             raise ContractError(f"prompt declares {n_visual} visual positions, got {m}")
-        visuals.append(r.visual)
-        texts.append(ids[max(start, n_visual):])
-        pasts.append(past)
-    out: list[list[int]] = [[] for _ in requests]
-    if not requests or max_len < 1:
-        return out
-    # Prompt b's keys and values after its past fill rows b * width onward
-    # of one array per layer, in place; pasts are read where they are, so
-    # prompts can share one.
-    width = min(cfg.context, max(len(t) + (0 if v is None else v.shape[0])
-                                 for v, t in zip(visuals, texts)) + max_len - 1)
-    own = [(np.zeros((len(requests) * width, cfg.dim)), np.zeros((len(requests) * width, cfg.dim)))
-           for _ in range(cfg.layers)]
-    ran = [0] * len(requests)
-    live = list(range(len(requests)))
-    for _ in range(max_len):
-        if not live:
-            break
-        logits = _decode_step(vlm, own, width,
-                              [(b, visuals[b], texts[b], pasts[b], ran[b]) for b in live])
-        tokens = np.argmax(logits, axis=1).tolist()  # first (lowest id) max per row
-        for b, token in zip(live, tokens):
-            ran[b] += len(texts[b]) + (0 if visuals[b] is None else visuals[b].shape[0])
-            visuals[b], texts[b] = None, [token]
-            out[b].append(token)
-        live = [b for b, token in zip(live, tokens) if token != EOS_ID]
-    return out
+        row = -1
+        for pos, token in enumerate(ids):
+            key = (row, (id(r.visual), pos) if pos < m else token)
+            if key not in row_of:
+                row_of[key] = len(parents)
+                parents.append(row)
+                segments.append((1, [], pos) if pos < m else (0, [token], pos))
+                if pos == 0 and m:
+                    visuals.append(r.visual)  # its rows follow in order, as _embed reads them
+            row = row_of[key]
+        ends.append(row)
+    stream_of = {row: s for s, row in enumerate(dict.fromkeys(ends))}  # per distinct last row
+    streams = list(stream_of)
+    out: list[list[int]] = [[] for _ in streams]
+    if requests and max_len > 0:
+        # seen[r]: the rows row r (and the stream that ends on it) attends to.
+        n = len(parents)
+        seen = np.zeros((n, n + len(streams) * min(max_len - 1, cfg.context)), dtype=bool)
+        for r, p in enumerate(parents):
+            if p >= 0:
+                seen[r] = seen[p]
+            seen[r, r] = True
+        kv = [(np.empty((seen.shape[1], cfg.dim)), np.empty((seen.shape[1], cfg.dim)))
+              for _ in range(cfg.layers)]
+        logits = _decode_step(vlm, kv, visuals, segments, seen[:, :n], streams)
+        seen, live = seen[streams], list(range(len(streams)))
+        positions = [segments[row][2] for row in streams]
+        while True:
+            for s, token in zip(live, np.argmax(logits, axis=1).tolist()):  # lowest id of ties
+                out[s].append(token)
+                positions[s] += 1
+            live = [s for s in live if out[s][-1] != EOS_ID and len(out[s]) < max_len]
+            if not live:
+                break
+            seen[live, n + np.arange(len(live))] = True
+            n += len(live)
+            logits = _decode_step(vlm, kv, [], [(0, out[s][-1:], positions[s]) for s in live],
+                                  seen[live, :n])
+    return [list(out[stream_of[row]]) for row in ends]
 
 
-def _decode_step(vlm: VLM, own: list, width: int, batch: list) -> np.ndarray:
-    """One stacked pass over the new rows of several prompts of a batch.
+def _decode_step(vlm: VLM, kv: list, visuals: list[Tensor], segments: list,
+                 seen: np.ndarray, rows=None) -> np.ndarray:
+    """One pass over new decoding rows, appended to the rows run so far.
 
-    batch holds (b, visual, ids, past, ran) per prompt: the visual block (or
-    None) and token ids it runs now, its past's per-layer (keys, values)
-    arrays (empty when it has none), and how many rows it ran on earlier
-    steps. own[i] holds layer i's keys and values of the rows prompts ran,
-    prompt b's from row b * width. Rows come from one gather, as in
-    batch_nll; their keys and values go into own, each prompt attends over
-    its past plus its own rows (ad.segment_attention), and the last layer
-    runs only each prompt's last row. Returns those rows' logits,
-    [len(batch), vocab].
+    segments holds (visual rows, text ids, position) per new row, as _embed
+    reads them, and visuals the visual blocks its visual rows come from.
+    seen is a boolean [new rows, rows so far] array whose last new-rows
+    columns are the new rows: row i attends to the rows seen[i] marks.
+    kv[i] holds layer i's keys and values, one [capacity, dim] array each;
+    the new rows' are written in place after the earlier rows' and every
+    row's are read where they lie. With `rows`, the last layer runs only
+    those new rows. Returns the logits of the rows that reach the head.
     """
     cfg, w = vlm.config, vlm.weights
-    starts = [(past[0][0].shape[0] if past else 0) + ran for _, _, _, past, ran in batch]
-    news = [len(ids) + (0 if v is None else v.shape[0]) for _, v, ids, _, _ in batch]
-    lengths = np.add(starts, news)
-    if lengths.max() > cfg.context:
-        raise ContractError(f"sequence length {lengths.max()} exceeds context {cfg.context}")
-    x = _embed(w, [v for _, v, _, _, _ in batch if v is not None],
-               [(n - len(ids), ids, s) for (_, _, ids, _, _), n, s in zip(batch, news, starts)])
-    slots = np.concatenate([np.arange(b * width + ran, b * width + ran + n)
-                            for (b, _, _, _, ran), n in zip(batch, news)])
-    # In the stacked key block, prompt j's keys end at ends[j] and its new
-    # rows are the last news[j] of them.
-    ends = np.cumsum(lengths)
-    every_row = ad.SegmentPlan(lengths, np.concatenate([np.arange(e - n, e)
-                                                        for e, n in zip(ends, news)]))
-    rows, last_rows = None, every_row
-    if max(news) > 1:  # only each prompt's last row reaches the head
-        rows, last_rows = np.cumsum(news) - 1, ad.SegmentPlan(lengths, ends - 1)
+    top = max(pos for _, _, pos in segments) + 1
+    if top > cfg.context:
+        raise ContractError(f"sequence length {top} exceeds context {cfg.context}")
+    n_new, n = seen.shape
+    mask = np.where(seen, 0.0, -np.inf)
     last = cfg.layers - 1
 
     def attend(i, q, k, v):
-        keys, values = own[i]
-        keys[slots], values[slots] = k.array, v.array
-        stacked_k, stacked_v = [], []
-        for (b, _, _, past, ran), n in zip(batch, news):
-            if past:
-                stacked_k.append(past[i][0])
-                stacked_v.append(past[i][1])
-            stacked_k.append(keys[b * width : b * width + ran + n])
-            stacked_v.append(values[b * width : b * width + ran + n])
-        k, v = Tensor(np.concatenate(stacked_k)), Tensor(np.concatenate(stacked_v))
-        return ad.segment_attention(q, k, v, cfg.heads, last_rows if i == last else every_row)
+        keys, values = kv[i]
+        keys[n - n_new : n], values[n - n_new : n] = k.array, v.array
+        pruned = mask if rows is None or i < last else mask[rows]
+        return ad.multihead_attention(q, Tensor(keys[:n]), Tensor(values[:n]), cfg.heads,
+                                      pruned)[0]
 
+    x = _embed(w, visuals, segments)
     for i in range(cfg.layers):
         x = _decoder_layer(w, i, x, attend, rows if i == last else None)
     return ad.matmul(x, vlm.head_tensor()).array

@@ -519,9 +519,18 @@ def load_dataset(path) -> World:
 
 
 def _manifest_from_json(doc) -> DatasetManifest:
-    scalars = ("seed", "g", "d_v", "d_t", "alpha", "noise", "vision_identity",
-               "rare_ids", "train_ids", "test_ids")
+    # The JSON types each scalar may have (no bool for an int); *_ids are lists of them.
+    scalars = {"seed": (int,), "g": (int,), "d_v": (int,), "d_t": (int,),
+               "alpha": (int, float), "noise": (int, float), "vision_identity": (bool,),
+               "rare_ids": (int,), "train_ids": (str,), "test_ids": (str,)}
     doc = json_object(doc, "manifest.json", *scalars, "counts", "classes", "scenes")
+    for key, kinds in scalars.items():
+        many = key.endswith("_ids")
+        values = doc[key] if many else [doc[key]]
+        if type(values) is not list or any(type(v) not in kinds for v in values):
+            what = " or ".join(k.__name__ for k in kinds)
+            raise ArtifactError(f"manifest.json: {key} must be {'a list of ' * many}{what}, "
+                                f"got {doc[key]!r:.40}")
     classes = []
     for c in doc["classes"]:
         c = json_object(c, "manifest.json class", "class_id", "name", "signature",

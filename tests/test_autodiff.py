@@ -159,19 +159,25 @@ def test_op_gradients_match_finite_differences(name, make):
 def test_multihead_attention_matches_per_head_composition():
     rng = np.random.default_rng(5)
     q, k, v = (Tensor(rng.normal(size=(5, 6))) for _ in range(3))
-    fused, weights = ad.multihead_attention(q, k, v, n_heads=2, causal=True)
-    dh = 3
-    parts = []
-    for h in range(2):
-        qh, kh, vh = (t.array[:, h * dh : (h + 1) * dh] for t in (q, k, v))
-        scores = qh @ kh.T / np.sqrt(dh)
-        scores[np.triu_indices(5, k=1)] = -np.inf
-        e = np.exp(scores - scores.max(axis=1, keepdims=True))
-        p = e / e.sum(axis=1, keepdims=True)
-        assert np.abs(weights[h] - p).max() < 1e-12
-        parts.append(p @ vh)
-    assert np.abs(fused.array - np.hstack(parts)).max() < 1e-12
-    assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-12
+    causal = np.tril(np.ones((5, 5), dtype=bool))
+    tree = causal.copy()  # a trie: rows 3 and 4 branch off after row 0
+    tree[3:, 1:3] = False
+    for seen in (causal, tree):
+        mask = ad._causal_mask(5, 5) if seen is causal else np.where(seen, 0.0, -np.inf)
+        fused, weights = ad.multihead_attention(q, k, v, n_heads=2, mask=mask)
+        dh = 3
+        parts = []
+        for h in range(2):
+            qh, kh, vh = (t.array[:, h * dh : (h + 1) * dh] for t in (q, k, v))
+            scores = qh @ kh.T / np.sqrt(dh)
+            scores[~seen] = -np.inf
+            e = np.exp(scores - scores.max(axis=1, keepdims=True))
+            p = e / e.sum(axis=1, keepdims=True)
+            assert np.abs(weights[h] - p).max() < 1e-12
+            parts.append(p @ vh)
+        assert np.abs(fused.array - np.hstack(parts)).max() < 1e-12
+        assert np.abs(weights.sum(axis=2) - 1.0).max() < 1e-12
+        assert (weights[:, ~seen] == 0).all()
 
 
 @pytest.mark.parametrize("causal", [True, False])
@@ -183,7 +189,8 @@ def test_multihead_attention_gradients(causal):
     c = Tensor(rng.normal(size=(4, 6)))
 
     def f(params):
-        out, _ = ad.multihead_attention(params[0], params[1], params[2], 2, causal)
+        mask = ad._causal_mask(4, 4) if causal else None
+        out, _ = ad.multihead_attention(params[0], params[1], params[2], 2, mask)
         return ad.mean_all(ad.mul(out, c))
 
     assert grad_check(f, [q, k, v], eps=1e-5) < 1e-4
@@ -197,7 +204,7 @@ def test_causal_attention_over_a_longer_key_block_gradients():
     c = Tensor(rng.normal(size=(2, 6)))
 
     def f(params):
-        out, _ = ad.multihead_attention(params[0], params[1], params[2], 2, causal=True)
+        out, _ = ad.multihead_attention(params[0], params[1], params[2], 2, ad._causal_mask(2, 5))
         return ad.mean_all(ad.mul(out, c))
 
     assert grad_check(f, [q, k, v], eps=1e-5) < 1e-4
@@ -206,15 +213,17 @@ def test_causal_attention_over_a_longer_key_block_gradients():
 def test_causal_attention_queries_are_the_last_rows_of_full_attention():
     rng = np.random.default_rng(8)
     q, k, v = (Tensor(rng.normal(size=(5, 6))) for _ in range(3))
-    full, full_w = ad.multihead_attention(q, k, v, n_heads=2, causal=True)
+    full, full_w = ad.multihead_attention(q, k, v, n_heads=2, mask=ad._causal_mask(5, 5))
     for n in (1, 2, 5):
-        tail, tail_w = ad.multihead_attention(Tensor(q.array[-n:]), k, v, 2, causal=True)
+        tail, tail_w = ad.multihead_attention(Tensor(q.array[-n:]), k, v, 2, ad._causal_mask(n, 5))
         assert np.abs(tail.array - full.array[-n:]).max() < 1e-12
         assert np.abs(tail_w - full_w[:, -n:]).max() < 1e-12
     mask = ad._causal_mask(2, 5)
     assert mask is ad._causal_mask(2, 5) and not mask.flags.writeable
     with pytest.raises(ShapeError):
-        ad.multihead_attention(q, Tensor(k.array[:3]), Tensor(v.array[:3]), 2, causal=True)
+        ad._causal_mask(5, 3)
+    with pytest.raises(ShapeError):
+        ad.multihead_attention(q, Tensor(k.array[:3]), Tensor(v.array[:3]), 2, mask)
 
 
 def test_gelu_in_place_matches_the_plain_formula_bit_for_bit():
@@ -259,7 +268,8 @@ def test_segment_attention_rows_match_per_segment_attention():
     q, k, v = (rng.normal(size=(n, 6)) for _ in range(3))
     starts = np.cumsum([0] + SEGMENTS)
     expect = np.vstack([
-        ad.multihead_attention(*(Tensor(a[lo:hi]) for a in (q, k, v)), 2, causal=True)[0].array
+        ad.multihead_attention(*(Tensor(a[lo:hi]) for a in (q, k, v)), 2,
+                               ad._causal_mask(hi - lo, hi - lo))[0].array
         for lo, hi in zip(starts, starts[1:])
     ])
     full = ad.segment_attention(Tensor(q), Tensor(k), Tensor(v), 2, ad.SegmentPlan(SEGMENTS))

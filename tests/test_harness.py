@@ -312,6 +312,16 @@ def test_cli_malformed_config_exits_2(tmp_path, doc, args):
     assert not out.exists()
 
 
+def test_cli_unreadable_config_exits_2(tmp_path, capsys):
+    out = tmp_path / "run"
+    binary = tmp_path / "binary.json"
+    binary.write_bytes(b"\xff\xfe{")
+    for path in (tmp_path / "nonexistent.json", tmp_path, binary):
+        assert cli.main(["eval", "--config", str(path), "--out", str(out)]) == 2
+        assert "cannot read the config" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_probe_unknown_scene_exits_2(tmp_path, pipeline_run):
     out, _, _ = pipeline_run
     run = tmp_path / "run"
@@ -364,9 +374,11 @@ def test_torn_vocab_reruns_vlm_through_eval(tmp_path, pipeline_run):
      ["dataset", "vlm", "classes", "adapter", "eval"]),
     ("dataset/textpool.json", lambda doc: {("x" if k == "0" else k): v for k, v in doc.items()},
      ["dataset", "vlm", "classes", "adapter", "eval"]),
+    ("dataset/manifest.json", lambda doc: {**doc, "g": str(doc["g"])},
+     ["dataset", "vlm", "classes", "adapter", "eval"]),
 ], ids=["manifest-without-classes", "textpool-without-lexical-variants", "vocab-without-specials",
         "report-without-modes", "run-meta-without-stages", "manifest-scenes-not-an-object",
-        "textpool-class-key-not-an-int"])
+        "textpool-class-key-not-an-int", "manifest-g-a-string"])
 def test_cli_wrong_shape_json_rebuilds_like_torn(tmp_path, pipeline_run, monkeypatch,
                                                   name, damage, stages):
     out, _, _ = pipeline_run
@@ -401,10 +413,21 @@ def test_sweep_equals_uncached_per_arm_reference(pipeline_run, monkeypatch):
     # worker would never reach it.
     monkeypatch.setattr(optim, "worker_processes", lambda: 1)
     monkeypatch.setattr(harness, "detect_and_answer", recorded("cached"))
+    batches = []
+
+    def batched(vlm, requests, max_len):
+        batches.append(requests)
+        return V.generate(vlm, requests, max_len)
+
+    monkeypatch.setattr(hinting, "generate", batched)
     cached = ablation_sweep(arts, k=2)
+    # One batch per scene; the arms reading one visual block pass one Tensor,
+    # so the trie shares their visual, bos and question rows.
+    assert len(batches) == 30
+    assert all(len(b) == 14 and len({id(r.visual) for r in b}) == 2 for b in batches)
+
     def uncached(vlm, requests, max_len):
-        (request,) = requests  # a context of one arm sends its whole prompt alone
-        assert request.past is None
+        (request,) = requests  # a context of one arm decodes its prompt alone
         return [stepwise_generate(vlm, request.visual, request.prompt, max_len)]
 
     monkeypatch.setattr(hinting, "generate", uncached)
@@ -425,21 +448,28 @@ def test_answers_do_not_depend_on_the_batch_they_decode_in(pipeline_run):
     arms = [(mode, 2) for mode in MODES] + [("hints-only", k) for k in range(1, 10)]
     assert len(arms) == 14  # the sweep's arms at k=2
 
-    def answer(meta, mode, k, scene):
+    def answer(meta, mode, k, scene, max_len):
         out = detect_and_answer(
             meta, arts.world.grid(meta.scene_id), arts.encoder, arts.learner, arts.adapter,
-            arts.vlm, arts.tokenizer, k=k, mode=mode, scene=scene,
+            arts.vlm, arts.tokenizer, k=k, mode=mode, max_len=max_len, scene=scene,
         )
         return out.generated, out.prompt_text, out.detection
 
+    plain = [arm for arm in arms if arm[0] not in ("visual-only", "full")]
     for meta in arts.world.scenes("test"):
-        every_arm = SceneContext(meta.scene_id, arms)
-        for mode, k in arms:
-            together = answer(meta, mode, k, every_arm)
-            assert together == answer(meta, mode, k, SceneContext(meta.scene_id, [(mode, k)]))
-            assert together == answer(meta, mode, k, None)
+        for max_len in (0, 1, 3):
+            every_arm = SceneContext(meta.scene_id, arms)
+            one_visual = SceneContext(meta.scene_id, plain)  # one Tensor for every request
+            for mode, k in arms:
+                together = answer(meta, mode, k, every_arm, max_len)
+                assert len(together[0]) <= max_len
+                assert together == answer(meta, mode, k, SceneContext(meta.scene_id, [(mode, k)]),
+                                          max_len)
+                assert together == answer(meta, mode, k, None, max_len)
+                if (mode, k) in plain:
+                    assert together == answer(meta, mode, k, one_visual, max_len)
         with pytest.raises(ContractError, match="not among"):
-            answer(meta, "full", 3, every_arm)
+            answer(meta, "full", 3, every_arm, 3)
 
 
 def gate_per_class(arts) -> dict:

@@ -204,9 +204,7 @@ def test_scene_context_shares_work_and_keeps_answers(inference_stack):
         )
         assert shared.generated == alone.generated
         assert shared.prompt_text == alone.prompt_text
-    assert set(scene.parts) == {
-        "score_map", "visual", "refined", ("prefix", False), ("prefix", True), ("answers", 3)
-    }
+    assert set(scene.parts) == {"score_map", "visual", "refined", ("answers", 3)}
 
 
 def test_scene_context_rejects_another_scene(inference_stack):

@@ -154,8 +154,8 @@ def stepwise_generate(model, visual, prompt, max_len, on_forward=None):
     return out
 
 
-def generate_one(model, visual, prompt, max_len, past=None):
-    return V.generate(model, [V.DecodeRequest(visual, prompt, past)], max_len)[0]
+def generate_one(model, visual, prompt, max_len):
+    return V.generate(model, [V.DecodeRequest(visual, prompt)], max_len)[0]
 
 
 def test_generate_deterministic_and_matches_stepwise_oracle():
@@ -166,7 +166,7 @@ def test_generate_deterministic_and_matches_stepwise_oracle():
     assert first == stepwise_generate(model, None, prompt, max_len=5)
 
 
-def test_generate_with_visual_and_past_matches_stepwise_oracle():
+def test_generate_with_visual_and_a_shared_prefix_matches_stepwise_oracle():
     model = make_vlm(layers=2, heads=2, dim=8, vocab=11, d_v=8)
     visual = Tensor(RNG.normal(size=(3, 8)))
     for seed in range(8):
@@ -174,10 +174,15 @@ def test_generate_with_visual_and_past_matches_stepwise_oracle():
         prompt = seq_of([0] * 3 + tail, n_visual=3)
         expect = stepwise_generate(model, visual, prompt, max_len=6)
         assert generate_one(model, visual, prompt, max_len=6) == expect
-        for cut in (3, 4, len(prompt.ids) - 1):
-            head = V.TokenSequence(prompt.ids[:cut], prompt.roles[:cut])
-            past = V.forward(model, visual, head).kv
-            assert generate_one(model, None, prompt, max_len=6, past=past) == expect
+        for cut in (4, 5, len(prompt.ids) - 1):
+            # The prompt, one that stops at the cut (an inner trie row) and one
+            # that branches off there, all on one visual Tensor.
+            head = seq_of(prompt.ids[:cut], n_visual=3)
+            branch = seq_of(prompt.ids[:cut] + [(prompt.ids[cut] + 1) % 11], n_visual=3)
+            batch = [V.DecodeRequest(visual, p) for p in (head, prompt, branch)]
+            assert V.generate(model, batch, max_len=6) == [
+                stepwise_generate(model, visual, head, max_len=6), expect,
+                stepwise_generate(model, visual, branch, max_len=6)]
 
 
 def random_prompt(seed):
@@ -189,16 +194,24 @@ def random_prompt(seed):
     return visual, seq_of([0] * n_visual + tail, n_visual=n_visual)
 
 
+def trie_rows(requests) -> int:
+    """Distinct prefixes of a batch: what one trie prefill runs."""
+    return len({(id(r.visual), tuple(r.prompt.ids[: i + 1]))
+                for r in requests for i in range(len(r.prompt.ids))})
+
+
 @pytest.fixture(scope="module")
 def mixed_batch():
     """A batch mixing every kind of request, with the per-prompt oracle answers.
 
     From a fixed pool of random prompts it takes ones that stop at <eos> on
-    the first and on the second step and ones that never stop, and runs
-    them with and without a visual block, from and without a past K/V (cut
-    after the visual block or later), at different lengths, with one
-    request repeated and one past shared by two prompts. Returns (model, requests, oracle visual per request,
-    oracle answers, max_len).
+    the first and on the second step and ones that never stop, with and
+    without a visual block (text-only prompts), at different lengths. To
+    them it adds a prompt that is a strict prefix of another on the same
+    visual Tensor (its last trie row is an inner one), a branch off that
+    prefix, a repeated request and an equal copy of one, and the same
+    prompt on an equal-valued but distinct Tensor. Returns (model,
+    requests, oracle answers, max_len).
     """
     model = make_vlm(layers=2, heads=2, dim=8, vocab=11, d_v=8)
     max_len = 6
@@ -208,55 +221,57 @@ def mixed_batch():
         out = stepwise_generate(model, visual, prompt, max_len)
         stop = len(out) if out[-1] == V.EOS_ID else None
         by_stop.setdefault((stop, visual is None, len(prompt.ids) > 4), []).append((visual, prompt))
-    picked = [pairs[0] for pairs in by_stop.values()]
     assert {stop for stop, _, _ in by_stop} >= {1, 2, None}
-    requests, visuals = [], []
-    for j, (visual, prompt) in enumerate(picked):
-        cut = max(1, prompt.n_visual + j % 3)  # at or after the visual block
-        if j % 2 and cut < len(prompt.ids):
-            past = V.forward(model, visual, V.TokenSequence(prompt.ids[:cut], prompt.roles[:cut])).kv
-            requests.append(V.DecodeRequest(None, prompt, past))
-        else:
-            requests.append(V.DecodeRequest(visual, prompt))
-        visuals.append(visual)
-    shared = requests[1]  # repeated, and extended on one shared past
-    longer = V.TokenSequence(shared.prompt.ids + [5, 3], shared.prompt.roles + [V.Role.PROMPT] * 2)
-    requests += [shared, V.DecodeRequest(None, longer, shared.past)]
-    visuals += [visuals[1], visuals[1]]
-    assert shared.past is not None
-    assert any(r.past is not None for r in requests) and any(r.past is None for r in requests)
-    assert any(r.visual is not None for r in requests) and any(v is None for v in visuals)
-    expect = [stepwise_generate(model, v, r.prompt, max_len) for v, r in zip(visuals, requests)]
+    requests = [V.DecodeRequest(visual, prompt) for visual, prompt in
+                (pairs[0] for pairs in by_stop.values())]
+    r = next(r for r in requests if r.visual is not None and len(r.prompt.text_ids) > 1)
+    ids, roles = r.prompt.ids, r.prompt.roles
+    requests += [
+        V.DecodeRequest(r.visual, V.TokenSequence(ids[:-1], roles[:-1])),
+        V.DecodeRequest(r.visual, V.TokenSequence(ids[:-1] + [(ids[-1] + 1) % 11], roles)),
+        r, V.DecodeRequest(r.visual, V.TokenSequence(list(ids), list(roles))),
+        V.DecodeRequest(Tensor(r.visual.array.copy()), r.prompt),
+    ]
+    assert any(r.visual is None for r in requests)
+    expect = [stepwise_generate(model, r.visual, r.prompt, max_len) for r in requests]
     assert len({len(out) for out in expect}) > 1
-    return model, requests, visuals, expect, max_len
+    assert trie_rows(requests) < sum(len(r.prompt.ids) for r in requests)
+    return model, requests, expect, max_len
 
 
 def test_batched_generate_equals_the_per_prompt_oracle(mixed_batch):
-    model, requests, _, expect, max_len = mixed_batch
+    model, requests, expect, max_len = mixed_batch
     assert V.generate(model, requests, max_len) == expect
     for r, out in zip(requests, expect):
         assert V.generate(model, [r], max_len) == [out]
 
 
 def test_batched_generate_step_logits_match_per_prompt_forwards(mixed_batch, monkeypatch):
-    model, requests, visuals, expect, max_len = mixed_batch
+    model, requests, expect, max_len = mixed_batch
     steps = []
     real = V._decode_step
 
     def recorded(*args):
-        steps.append(real(*args))
-        return steps[-1]
+        steps.append((len(args[3]), real(*args)))
+        return steps[-1][1]
 
     monkeypatch.setattr(V, "_decode_step", recorded)
     V.generate(model, requests, max_len)
+    # The prefill runs each distinct prefix once, and requests that end on one
+    # row decode once: rows come in order of each one's first request.
+    assert steps[0][0] == trie_rows(requests)
+    first = {}
+    for r, out in zip(requests, expect):
+        first.setdefault((id(r.visual), tuple(r.prompt.ids)), (r, out))
+    assert len(first) < len(requests)
     assert len(steps) == max(len(out) for out in expect)
-    for s, logits in enumerate(steps):
-        live = [b for b, out in enumerate(expect) if len(out) > s]
+    for s, (n_rows, logits) in enumerate(steps):
+        live = [(r, out) for r, out in first.values() if len(out) > s]
         assert logits.shape == (len(live), 11)
-        for row, b in zip(logits, live):
-            prompt, tokens = requests[b].prompt, expect[b][:s]
-            seq = V.TokenSequence(prompt.ids + tokens, prompt.roles + [V.Role.ANSWER] * s)
-            want = V.forward(model, visuals[b], seq).logits.array[-1]
+        assert s == 0 or n_rows == len(live)
+        for row, (r, out) in zip(logits, live):
+            seq = V.TokenSequence(r.prompt.ids + out[:s], r.prompt.roles + [V.Role.ANSWER] * s)
+            want = V.forward(model, r.visual, seq).logits.array[-1]
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
 
@@ -284,18 +299,20 @@ def test_generate_context_overflow_raises_at_the_uncached_step(monkeypatch):
     with pytest.raises(ContractError, match="exceeds context"):
         generate_one(model, None, prompt, max_len=3)
     assert done["cached"] == done["oracle"]
-    # In a batch, the longest prompt overflows at its own step.
+    # In a batch with a prompt on its trie path, the longest prompt
+    # overflows at its own step.
     done["cached"] = 0
     with pytest.raises(ContractError, match="exceeds context"):
         V.generate(model, [V.DecodeRequest(None, seq_of([4, 2])),
                            V.DecodeRequest(None, prompt)], max_len=3)
     assert done["cached"] == done["oracle"]
+    with pytest.raises(ContractError, match="exceeds context"):  # at the prefill
+        generate_one(model, None, seq_of([4, 2, 7] * 22), max_len=1)
 
 
 def test_generate_max_len_zero_is_empty(mixed_batch, monkeypatch):
     model = make_vlm()
-    past = V.forward(model, None, seq_of([1])).kv
-    batch_model, requests, _, _, _ = mixed_batch
+    batch_model, requests, _, _ = mixed_batch
 
     def no_forward(*args, **kwargs):
         raise AssertionError("forward ran")
@@ -303,27 +320,29 @@ def test_generate_max_len_zero_is_empty(mixed_batch, monkeypatch):
     monkeypatch.setattr(V, "forward", no_forward)
     monkeypatch.setattr(V, "_decode_step", no_forward)
     assert generate_one(model, None, seq_of([1, 2]), max_len=0) == []
-    assert generate_one(model, None, seq_of([1, 2]), max_len=0, past=past) == []
     assert V.generate(batch_model, requests, max_len=0) == [[] for _ in requests]
     assert V.generate(batch_model, [], max_len=3) == []
 
 
-def test_generate_past_must_leave_a_prompt_position():
-    model = make_vlm()
-    past = V.forward(model, None, seq_of([1, 2])).kv
-    with pytest.raises(ContractError):
-        generate_one(model, None, seq_of([1, 2]), max_len=2, past=past)
-
-
-def test_generate_rejects_a_visual_block_after_a_past():
+def test_generate_needs_a_text_token_in_every_prompt():
     model = make_vlm(d_v=8)
     visual = Tensor(RNG.normal(size=(2, 8)))
-    past = V.forward(model, visual, seq_of([0, 0, 3], n_visual=2)).kv
-    with pytest.raises(ContractError):
-        generate_one(model, visual, seq_of([0, 0, 3, 4], n_visual=2), max_len=2, past=past)
-    inside = V.forward(model, Tensor(visual.array[:1]), seq_of([0], n_visual=1)).kv
-    with pytest.raises(ContractError):  # a cache that ends inside the visual block
-        generate_one(model, None, seq_of([0, 0, 3, 4], n_visual=2), max_len=2, past=inside)
+    fine = V.DecodeRequest(None, seq_of([1, 2]))
+    for empty in (V.DecodeRequest(None, seq_of([])),
+                  V.DecodeRequest(visual, seq_of([0, 0], n_visual=2))):
+        with pytest.raises(ContractError, match="nonempty"):
+            V.generate(model, [fine, empty], max_len=2)
+
+
+def test_generate_rejects_a_visual_block_of_another_size():
+    model = make_vlm(d_v=8)
+    visual = Tensor(RNG.normal(size=(2, 8)))
+    for block, prompt in ((visual, seq_of([0, 0, 0, 3], n_visual=3)),
+                          (Tensor(visual.array[:1]), seq_of([0, 0, 3], n_visual=2)),
+                          (visual, seq_of([3, 4])),
+                          (None, seq_of([0, 0, 3], n_visual=2))):
+        with pytest.raises(ContractError, match="visual positions"):
+            generate_one(model, block, prompt, max_len=2)
 
 
 def test_sequence_nll_uniform_logits_analytic():

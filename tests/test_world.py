@@ -1,6 +1,7 @@
 """Benchmark generator, frozen encoders, and frequency-aware re-sampling."""
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rare_lens import world as w
-from rare_lens.errors import ChecksumError, ConfigError, ContractError
+from rare_lens.errors import ArtifactError, ChecksumError, ConfigError, ContractError
 
 SMALL = w.DatasetConfig(n_classes=2, grid=4, d_v=16, d_t=16, rare_count=0, rare_n=5,
                         common_n=100, test_per_class=5, alpha=4.0)
@@ -260,6 +261,19 @@ def test_dataset_save_load_round_trip(tmp_path, imbalanced_world):
     w.save_dataset(loaded, again)
     assert (out / "manifest.json").read_bytes() == (again / "manifest.json").read_bytes()
     assert (out / "textpool.json").read_bytes() == (again / "textpool.json").read_bytes()
+
+
+@pytest.mark.parametrize("key, value", [
+    ("g", "4"), ("alpha", "4"), ("vision_identity", "yes"), ("noise", None), ("d_v", 16.0),
+    ("seed", True), ("d_t", [8]), ("rare_ids", [0.5]), ("rare_ids", 1), ("test_ids", [3]),
+])
+def test_wrong_typed_manifest_scalar_is_an_artifact_error(tmp_path, tiny_world, key, value):
+    out = tmp_path / "ds"
+    w.save_dataset(tiny_world, out)
+    doc = json.loads((out / "manifest.json").read_text())
+    (out / "manifest.json").write_text(json.dumps({**doc, key: value}))
+    with pytest.raises(ArtifactError, match=f"manifest.json: {key} must be"):
+        w.load_dataset(out)
 
 
 def test_infeasible_signature_config_raises():
