@@ -458,40 +458,53 @@ def multihead_attention(
     if mask is not None and mask.shape != (n, m):
         raise ShapeError(f"attention mask {mask.shape} does not fit {n} queries over {m} keys")
     dh = d // n_heads
+
+    def split(rows):  # [r, d] -> [heads, r, dh]; batched matmul beats einsum here
+        return rows.reshape(len(rows), n_heads, dh).transpose(1, 0, 2)
+
+    def merge(heads):  # [heads, r, dh] -> [r, d]
+        return heads.transpose(1, 0, 2).reshape(-1, d)
+
+    return _attention(q, k, v, dh, mask, split, merge, split, merge)
+
+
+def _attention(q: Tensor, k: Tensor, v: Tensor, dh: int, mask, split_q, merge_q, split_kv,
+               merge_kv) -> tuple[Tensor, np.ndarray]:
+    """The masked softmax attention kernel and its VJPs, over head-split arrays.
+
+    split_q / split_kv turn the query / key and value rows into [..., heads,
+    len, dh] arrays, and merge_q / merge_kv turn such arrays back into rows;
+    `mask` (or None) is added to every head's scores. Returns the recorded
+    output rows and the attention weights [..., heads, queries, keys].
+    """
     scale = 1.0 / np.sqrt(dh)
-    # [heads, len, dh] views; batched matmul beats einsum at these sizes.
-    qh = q.array.reshape(n, n_heads, dh).transpose(1, 0, 2)
-    kh = k.array.reshape(m, n_heads, dh).transpose(1, 0, 2)
-    vh = v.array.reshape(m, n_heads, dh).transpose(1, 0, 2)
-    # The softmax runs in place on one [heads, n, m] array, with the same
+    qh, kh, vh = split_q(q.array), split_kv(k.array), split_kv(v.array)
+    # The softmax runs in place on one scores array, with the same
     # operations (so the same bits) as the plain expression.
-    weights = qh @ kh.transpose(0, 2, 1)
+    weights = qh @ kh.swapaxes(-1, -2)
     weights *= scale
     if mask is not None:
         weights += mask
-    weights -= weights.max(axis=2, keepdims=True)
+    weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
-    weights /= weights.sum(axis=2, keepdims=True)
-    out = _out((weights @ vh).transpose(1, 0, 2).reshape(n, d))
+    weights /= weights.sum(axis=-1, keepdims=True)
+    out = _out(merge_q(weights @ vh))
     memo: list = [None, None]  # backward hands vjp_q and vjp_k the same g
-
-    def split_heads(g):
-        return g.reshape(n, n_heads, dh).transpose(1, 0, 2)
 
     def grad_scores(g):
         if memo[0] is not g:
-            gw = split_heads(g) @ vh.transpose(0, 2, 1)
-            memo[:] = g, weights * (gw - (weights * gw).sum(axis=2, keepdims=True))
+            gw = split_q(g) @ vh.swapaxes(-1, -2)
+            memo[:] = g, weights * (gw - (weights * gw).sum(axis=-1, keepdims=True))
         return memo[1]
 
     def vjp_q(g):
-        return (scale * (grad_scores(g) @ kh)).transpose(1, 0, 2).reshape(n, d)
+        return merge_q(scale * (grad_scores(g) @ kh))
 
     def vjp_k(g):
-        return (scale * (grad_scores(g).transpose(0, 2, 1) @ qh)).transpose(1, 0, 2).reshape(m, d)
+        return merge_kv(scale * (grad_scores(g).swapaxes(-1, -2) @ qh))
 
     def vjp_v(g):
-        return (weights.transpose(0, 2, 1) @ split_heads(g)).transpose(1, 0, 2).reshape(m, d)
+        return merge_kv(weights.swapaxes(-1, -2) @ split_q(g))
 
     return _record(out, (q, k, v), (vjp_q, vjp_k, vjp_v)), weights
 
@@ -554,11 +567,8 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, plan: Segme
             f"v {v.shape}, plan {plan.n_queries} queries over {plan.n_rows} rows"
         )
     b, dh = plan.n_segments, d // n_heads
-    scale = 1.0 / np.sqrt(dh)
-    q_slots, q_width = plan.query_slots, plan.query_width
-    k_slots, k_width = plan.key_slots, plan.width
 
-    def pad(rows, slots, width):  # [r, d] -> [B, H, width, dh]
+    def pad(slots, width, rows):  # [r, d] -> [B, H, width, dh]
         if slots.size == b * width:  # no slot is padding
             grid = rows
         else:
@@ -566,35 +576,14 @@ def segment_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, plan: Segme
             grid[slots] = rows
         return grid.reshape(b, width, n_heads, dh).transpose(0, 2, 1, 3)
 
-    def unpad(heads, slots, width):  # [B, H, width, dh] -> [r, d]
+    def unpad(slots, width, heads):  # [B, H, width, dh] -> [r, d]
         rows = heads.transpose(0, 2, 1, 3).reshape(b * width, d)
         return rows if slots.size == b * width else rows[slots]
 
-    qh = pad(q.array, q_slots, q_width)
-    kh, vh = pad(k.array, k_slots, k_width), pad(v.array, k_slots, k_width)
-    scores = (qh @ kh.transpose(0, 1, 3, 2)) * scale
-    scores += plan.mask
-    z = np.exp(scores - scores.max(axis=3, keepdims=True))
-    weights = z / z.sum(axis=3, keepdims=True)
-    out = _out(unpad(weights @ vh, q_slots, q_width))
-    memo: list = [None, None]  # backward hands vjp_q and vjp_k the same g
-
-    def grad_scores(g):
-        if memo[0] is not g:
-            gw = pad(g, q_slots, q_width) @ vh.transpose(0, 1, 3, 2)
-            memo[:] = g, weights * (gw - (weights * gw).sum(axis=3, keepdims=True))
-        return memo[1]
-
-    def vjp_q(g):
-        return unpad(scale * (grad_scores(g) @ kh), q_slots, q_width)
-
-    def vjp_k(g):
-        return unpad(scale * (grad_scores(g).transpose(0, 1, 3, 2) @ qh), k_slots, k_width)
-
-    def vjp_v(g):
-        return unpad(weights.transpose(0, 1, 3, 2) @ pad(g, q_slots, q_width), k_slots, k_width)
-
-    return _record(out, (q, k, v), (vjp_q, vjp_k, vjp_v))
+    queries, keys = (plan.query_slots, plan.query_width), (plan.key_slots, plan.width)
+    split_q, merge_q = functools.partial(pad, *queries), functools.partial(unpad, *queries)
+    split_kv, merge_kv = functools.partial(pad, *keys), functools.partial(unpad, *keys)
+    return _attention(q, k, v, dh, plan.mask, split_q, merge_q, split_kv, merge_kv)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -2,17 +2,20 @@
 
 The learnable components follow the familiar fit/transform/predict shape:
 each takes its config section and a seed, and fitted state lands in
-trailing-underscore attributes.
+trailing-underscore attributes. Config sections are read from JSON by one
+strict reader, from_json, for the experiment config file and for the
+dataset section that dataset/manifest.json stores.
 """
 
 from __future__ import annotations
 
 import os
+from dataclasses import fields, is_dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .errors import ArtifactError, NotFittedError, ShapeError
+from .errors import ArtifactError, ConfigError, NotFittedError, ShapeError
 
 
 def check_is_fitted(estimator, attribute: str) -> None:
@@ -50,6 +53,48 @@ def json_object(doc, what: str, *keys: str) -> dict:
     if not isinstance(doc, dict) or not set(keys) <= doc.keys():
         raise ArtifactError(f"{what}: expected a JSON object with keys {list(keys)}")
     return doc
+
+
+def json_fits(value, kind: type) -> bool:
+    """Whether a JSON scalar may fill a field whose default is of `kind`."""
+    if isinstance(value, bool):  # bool is an int subclass, never a number here
+        return kind is bool
+    return isinstance(value, (int, float) if kind is float else kind)
+
+
+def from_json(cls, doc: dict, path: str):
+    """Build config dataclass `cls` from a parsed JSON object, nested sections too.
+
+    Missing keys take their defaults; an unknown key or a value of the wrong
+    JSON type raises ConfigError naming its dotted `path`.
+    """
+    if not isinstance(doc, dict):
+        raise ConfigError(f"{path or 'config'}: expected an object")
+    known = {f.name: f for f in fields(cls)}
+    unknown = set(doc) - set(known)
+    if unknown:
+        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
+    kwargs = {}
+    for name, value in doc.items():
+        where = f"{path}.{name}" if path else name
+        section = known[name].default_factory  # a nested config class, or MISSING
+        kind = type(known[name].default)
+        if is_dataclass(section):
+            kwargs[name] = from_json(section, value, where)
+        elif not json_fits(value, kind):
+            raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
+        elif kind is float:
+            # Stored as a float, so 1 and 1.0 give equal configs and equal hashes.
+            try:
+                kwargs[name] = float(value)
+            except OverflowError:
+                raise ConfigError(f"{where}: {value!r} is out of range for a float") from None
+        else:
+            kwargs[name] = value
+    try:
+        return cls(**kwargs)
+    except ValueError as exc:  # a section's own check, e.g. VLMConfig's
+        raise ConfigError(f"{path or 'config'}: {exc}") from exc
 
 
 def write_atomic(path, data: bytes | str) -> None:

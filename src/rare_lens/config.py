@@ -14,10 +14,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field, fields, is_dataclass
+from dataclasses import asdict, dataclass, field, is_dataclass
 from pathlib import Path
 
 from .adapter import AdapterConfig
+from .base import from_json
 from .embeddings import EmbeddingConfig
 from .errors import ConfigError
 from .hinting import MODES
@@ -61,45 +62,8 @@ class ExperimentConfig:
         return self
 
 
-def _fits(value, kind: type) -> bool:
-    """Whether a JSON scalar may fill a field whose default is of `kind`."""
-    if isinstance(value, bool):  # bool is an int subclass, never a number here
-        return kind is bool
-    return isinstance(value, (int, float) if kind is float else kind)
-
-
-def _build(cls, doc: dict, path: str):
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path or 'config'}: expected an object")
-    known = {f.name: f for f in fields(cls)}
-    unknown = set(doc) - set(known)
-    if unknown:
-        raise ConfigError(f"{path or 'config'}: unknown keys {sorted(unknown)}")
-    kwargs = {}
-    for name, value in doc.items():
-        where = f"{path}.{name}" if path else name
-        section = known[name].default_factory  # a nested config class, or MISSING
-        kind = type(known[name].default)
-        if is_dataclass(section):
-            kwargs[name] = _build(section, value, where)
-        elif not _fits(value, kind):
-            raise ConfigError(f"{where}: expected {kind.__name__}, got {value!r}")
-        elif kind is float:
-            # Stored as a float, so 1 and 1.0 give equal configs and equal hashes.
-            try:
-                kwargs[name] = float(value)
-            except OverflowError:
-                raise ConfigError(f"{where}: {value!r} is out of range for a float") from None
-        else:
-            kwargs[name] = value
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:  # a section's own check, e.g. VLMConfig's
-        raise ConfigError(f"{path or 'config'}: {exc}") from exc
-
-
 def config_from_dict(doc: dict) -> ExperimentConfig:
-    return _build(ExperimentConfig, doc, "").validate()
+    return from_json(ExperimentConfig, doc, "").validate()
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:

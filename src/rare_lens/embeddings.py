@@ -195,19 +195,15 @@ class ClassEmbeddingLearner:
 
     # -- fitted-surface helpers ------------------------------------------
 
-    def transform(self, z, modality: str = "visual") -> np.ndarray:
+    def transform(self, z) -> np.ndarray:
+        """Pooled visual features projected into the decoder embedding space."""
         check_is_fitted(self, "heads_")
-        z = check_matrix(z, "z")
-        if modality == "visual":
-            return self.heads_.project_visual(z).array
-        if modality == "text":
-            return self.heads_.project_text(z).array
-        raise ContractError(f"unknown modality {modality!r}")
+        return self.heads_.project_visual(check_matrix(z, "z")).array
 
     def predict(self, z_visual) -> np.ndarray:
         """Nearest-prototype class ids for pooled visual features."""
         check_is_fitted(self, "table_")
-        h = self.transform(z_visual, "visual")
+        h = self.transform(z_visual)
         h = h / np.linalg.norm(h, axis=1, keepdims=True)
         w = self.table_.w.array
         w = w / np.linalg.norm(w, axis=1, keepdims=True)

@@ -351,7 +351,7 @@ STAGES = tuple(stage.name for stage in PIPELINE)
 
 
 def run_pipeline(
-    cfg: ExperimentConfig, out_dir, resume: bool = True, until: str = "eval"
+    cfg: ExperimentConfig, out_dir, until: str = "eval"
 ) -> tuple[Artifacts, dict | None]:
     """Execute (or resume) stages through `until`; returns artifacts + report.
 
@@ -380,7 +380,7 @@ def run_pipeline(
         path = out / stage.file
         rec = records.get(stage.name)
         product = None
-        if (resume and rec is not None and rec.get("hash") == h
+        if (rec is not None and rec.get("hash") == h
                 and not set(stage.upstream) & set(stages_run)):
             try:
                 if "crc" in rec and ckpt.footer_crc(path) != rec["crc"]:
@@ -493,7 +493,7 @@ def _probe_one(arts: Artifacts, meta, refined: bool):
     result = forward(arts.vlm, Tensor(v), seq)
     object_pos = len(seq.ids) - len(arts.tokenizer.encode(meta.answer)) - 1
     probe = attention_probe(result, seq, object_pos)
-    positions = _bbox_positions(meta, arts.world.manifest.g)
+    positions = _bbox_positions(meta, arts.world.manifest.config.grid)
     lens = logit_lens(arts.vlm, result, positions)
     name_id = arts.tokenizer.index[meta.answer]
     prob_grid = lens[:, :, name_id]

@@ -234,12 +234,7 @@ def forward(vlm: VLM, visual: Tensor | None, seq: TokenSequence) -> ForwardResul
     if n == 0:
         raise ContractError("empty sequence")
 
-    text = ad.gather_rows(w["wte"], seq.text_ids) if n > m else None
-    if visual is not None and text is not None:
-        x = ad.concat_rows([visual, text])
-    else:
-        x = visual if visual is not None else text
-    x = ad.add(x, ad.gather_rows(w["wpe"], list(range(n))))
+    x = _embed(w, [] if visual is None else [visual], [(m, seq.text_ids, 0)])
 
     attentions: list[np.ndarray] = []
 
@@ -520,7 +515,7 @@ def _fixture_examples(
             # The first hint (= answer) ranges over every class name; a junk
             # scene carries no class visual, so this trains word-level output
             # competence without ever grounding a rare class.
-            grid, _ = random_object_grid(rng, m.g, m.d_v, m.alpha, m.noise)
+            grid, _ = random_object_grid(rng, m.config)
             names = list(rng.choice(hint_pool, size=min(cfg.hint_k, len(hint_pool)), replace=False))
             examples.append(
                 _Example(encoder.encode(grid), enrich_prompt(meta.question, names), names[0])
@@ -544,16 +539,15 @@ def evaluate_answers(
     tokenizer: Tokenizer,
     encoder: VisionEncoder,
     world: World,
-    split: str = "test",
     max_len: int = 3,
 ) -> dict[int, float]:
-    """Per-class exact-name answer accuracy in plain baseline mode.
+    """Per-class exact-name answer accuracy over the test split, in baseline mode.
 
     Scenes are answered independently, so optim.map_rows splits them across
     forked worker processes, one hit (0 or 1) per scene; the hits come back
     in split order, so the result does not depend on the process count.
     """
-    scenes = world.scenes(split)
+    scenes = world.scenes("test")
 
     def hit(i: int) -> list:
         meta = scenes[i]
@@ -637,7 +631,7 @@ def pretrain_fixture(
     log with per-epoch mean losses and gate metrics.
     """
     tokenizer = Tokenizer.build(world)
-    vcfg = replace(cfg.vlm, d_v=world.manifest.d_v)
+    vcfg = replace(cfg.vlm, d_v=world.manifest.config.d_v)
     vlm = init_vlm(vcfg, len(tokenizer), seed)
     encoder = VisionEncoder.for_world(world)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 97]))

@@ -5,6 +5,13 @@ signature inside a bounding box, gaussian background elsewhere. The vision
 encoder is a fixed orthogonal map over patch vectors; the text encoder is a
 class-anchored word-embedding table. Everything in this module is a pure
 function of (config, seed) and never receives gradient updates.
+
+dataset/manifest.json stores what generation drew and nothing it can derive:
+the config section, the seed, the class names, the rare class ids and one
+record per scene in generation order (class id, bbox, question, split). A
+scene's id is its place in that order, and counts, the train/test id lists
+and answers follow from the records and the config. Only this module knows
+the layout.
 """
 
 from __future__ import annotations
@@ -12,11 +19,11 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .base import json_object, write_atomic
+from .base import from_json, json_fits, json_object, write_atomic
 from .errors import ArtifactError, ChecksumError, ConfigError, ContractError, DegenerateVectorError
 from .prompting import QUESTION_TEMPLATES
 
@@ -36,20 +43,12 @@ _ADJECTIVES = (
 
 
 @dataclass(frozen=True)
-class ClassSpec:
-    class_id: int
-    name: str
-    signature: np.ndarray  # unit-norm planted direction, length d_v
-    frequency_weight: float  # equals the train-sample count N_c
-
-
-@dataclass(frozen=True)
 class SceneMeta:
     scene_id: str
     class_id: int
     bbox: tuple[int, int, int, int]  # (row0, col0, row1, col1), end-exclusive
     question: str
-    answer: str
+    answer: str  # the class name, names[class_id]
     split: str  # "train" | "test"
 
 
@@ -93,27 +92,31 @@ class TextPool:
 
 @dataclass
 class DatasetManifest:
-    classes: list[ClassSpec]
-    counts: dict[int, int]
-    train_ids: list[str]
-    test_ids: list[str]
-    scene_meta: dict[str, SceneMeta]
+    """What generation drew for (config, seed); the rest is derived from it."""
+
+    config: DatasetConfig
     seed: int
-    g: int
-    d_v: int
-    d_t: int
-    alpha: float
-    noise: float
-    vision_identity: bool
-    rare_ids: list[int] = field(default_factory=list)
+    names: list[str]
+    rare_ids: list[int]
+    scene_meta: dict[str, SceneMeta]  # in generation order
 
     @property
     def n_classes(self) -> int:
-        return len(self.classes)
+        return self.config.n_classes
 
     @property
-    def names(self) -> list[str]:
-        return [c.name for c in self.classes]
+    def counts(self) -> dict[int, int]:
+        """Train scenes per class, N_c."""
+        cfg = self.config
+        return {c: cfg.rare_n if c in self.rare_ids else cfg.common_n for c in range(cfg.n_classes)}
+
+    @property
+    def train_ids(self) -> list[str]:
+        return [sid for sid, meta in self.scene_meta.items() if meta.split == "train"]
+
+    @property
+    def test_ids(self) -> list[str]:
+        return [sid for sid, meta in self.scene_meta.items() if meta.split == "test"]
 
 
 @dataclass
@@ -125,8 +128,7 @@ class World:
     pools: TextPool
 
     def scenes(self, split: str) -> list[SceneMeta]:
-        ids = self.manifest.train_ids if split == "train" else self.manifest.test_ids
-        return [self.manifest.scene_meta[i] for i in ids]
+        return [meta for meta in self.manifest.scene_meta.values() if meta.split == split]
 
     def grid(self, scene_id: str) -> np.ndarray:
         return self.grids[scene_id]
@@ -175,21 +177,17 @@ def _draw_signatures(
 
 
 def _synth_grid(
-    rng: np.random.Generator,
-    g: int,
-    d_v: int,
-    signature: np.ndarray,
-    alpha: float,
-    noise: float,
+    rng: np.random.Generator, cfg: DatasetConfig, signature: np.ndarray
 ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
     """One scene grid: background noise, alpha*signature + noise inside a box."""
+    g, d_v, noise = cfg.grid, cfg.d_v, cfg.noise
     grid = rng.normal(scale=noise, size=(g, g, d_v))
     h = int(rng.integers(2, min(3, g) + 1))
     w = int(rng.integers(2, min(3, g) + 1))
     r0 = int(rng.integers(0, g - h + 1))
     c0 = int(rng.integers(0, g - w + 1))
     bbox = (r0, c0, r0 + h, c0 + w)
-    grid[r0 : r0 + h, c0 : c0 + w, :] = alpha * signature + rng.normal(
+    grid[r0 : r0 + h, c0 : c0 + w, :] = cfg.alpha * signature + rng.normal(
         scale=noise, size=(h, w, d_v)
     )
     # Canonical precision is the on-disk f32 payload.
@@ -197,10 +195,10 @@ def _synth_grid(
 
 
 def random_object_grid(
-    rng: np.random.Generator, g: int, d_v: int, alpha: float, noise: float
+    rng: np.random.Generator, cfg: DatasetConfig
 ) -> tuple[np.ndarray, tuple[int, int, int, int]]:
     """A scene with an unfamiliar planted direction (no class attached)."""
-    return _synth_grid(rng, g, d_v, _unit(rng.normal(size=d_v)), alpha, noise)
+    return _synth_grid(rng, cfg, _unit(rng.normal(size=cfg.d_v)))
 
 
 def _make_pools(
@@ -233,60 +231,37 @@ def _make_pools(
 def generate_dataset(cfg: DatasetConfig, seed: int) -> World:
     """Deterministic benchmark generation; every output is f32-exact."""
     cfg.validate()
-    n_classes, g, d_v = cfg.n_classes, cfg.grid, cfg.d_v
+    n_classes = cfg.n_classes
     root = np.random.SeedSequence(seed)
     rng_names, rng_sigs, rng_scene, rng_pool, rng_rare = (
         np.random.default_rng(s) for s in root.spawn(5)
     )
 
     names = _make_names(rng_names, n_classes)
-    sigs = _draw_signatures(rng_sigs, n_classes, d_v)
+    sigs = _draw_signatures(rng_sigs, n_classes, cfg.d_v)
     rare_ids = sorted(
         int(i)
         for i in rng_rare.choice(n_classes, size=cfg.rare_count, replace=False)
     )
-    counts = {
-        cid: (cfg.rare_n if cid in rare_ids else cfg.common_n)
-        for cid in range(n_classes)
-    }
-    classes = [
-        ClassSpec(cid, names[cid], sigs[cid], float(counts[cid]))
-        for cid in range(n_classes)
-    ]
+    manifest = DatasetManifest(cfg, seed, names, rare_ids, {})
 
     grids: dict[str, np.ndarray] = {}
-    scene_meta: dict[str, SceneMeta] = {}
-    train_ids: list[str] = []
-    test_ids: list[str] = []
-    idx = 0
-    for cid in range(n_classes):
-        for split, n in (("train", counts[cid]), ("test", cfg.test_per_class)):
+    for cid, n_train in manifest.counts.items():
+        for split, n in (("train", n_train), ("test", cfg.test_per_class)):
             for _ in range(n):
-                sid = f"s{idx:05d}"
-                idx += 1
-                grid, bbox = _synth_grid(rng_scene, g, d_v, sigs[cid], cfg.alpha, cfg.noise)
+                sid = _scene_id(len(grids))
+                grid, bbox = _synth_grid(rng_scene, cfg, sigs[cid])
                 question = QUESTION_TEMPLATES[int(rng_scene.integers(len(QUESTION_TEMPLATES)))]
                 grids[sid] = grid
-                scene_meta[sid] = SceneMeta(sid, cid, bbox, question, names[cid], split)
-                (train_ids if split == "train" else test_ids).append(sid)
+                manifest.scene_meta[sid] = SceneMeta(sid, cid, bbox, question, names[cid], split)
 
     pools, _ = _make_pools(rng_pool, names)
-    manifest = DatasetManifest(
-        classes=classes,
-        counts=counts,
-        train_ids=train_ids,
-        test_ids=test_ids,
-        scene_meta=scene_meta,
-        seed=seed,
-        g=g,
-        d_v=d_v,
-        d_t=cfg.d_t,
-        alpha=cfg.alpha,
-        noise=cfg.noise,
-        vision_identity=cfg.vision_identity,
-        rare_ids=rare_ids,
-    )
     return World(manifest, grids, pools)
+
+
+def _scene_id(index: int) -> str:
+    """The id of the scene drawn index-th, which names its scenes/<id>.bin."""
+    return f"s{index:05d}"
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +286,7 @@ class VisionEncoder:
     @classmethod
     def for_world(cls, world: World) -> "VisionEncoder":
         m = world.manifest
-        return cls(m.d_v, m.seed, identity=m.vision_identity)
+        return cls(m.config.d_v, m.seed, identity=m.config.vision_identity)
 
     def encode(self, grid: np.ndarray) -> np.ndarray:
         """[g, g, d_v] -> [M, d_v] tokens, M = g*g, row-major patch order."""
@@ -360,7 +335,7 @@ class TextEncoder:
                 for word in phrase.split():
                     if word not in _ADJECTIVES:
                         word_class[word] = cid
-        return cls(m.d_t, m.seed, word_class, m.n_classes)
+        return cls(m.config.d_t, m.seed, word_class, m.n_classes)
 
     def _word_row(self, word: str) -> np.ndarray:
         eta = _unit(_word_rng(self.seed, word).normal(size=self.d_t))
@@ -457,36 +432,15 @@ def save_dataset(world: World, out_dir) -> None:
     (out / "scenes").mkdir(parents=True, exist_ok=True)
     m = world.manifest
     manifest_doc = {
+        "config": asdict(m.config),
         "seed": m.seed,
-        "g": m.g,
-        "d_v": m.d_v,
-        "d_t": m.d_t,
-        "alpha": m.alpha,
-        "noise": m.noise,
-        "vision_identity": m.vision_identity,
+        "names": m.names,
         "rare_ids": m.rare_ids,
-        "counts": {str(k): v for k, v in m.counts.items()},
-        "classes": [
-            {
-                "class_id": c.class_id,
-                "name": c.name,
-                "signature": [float(x) for x in c.signature],
-                "frequency_weight": c.frequency_weight,
-            }
-            for c in m.classes
+        "scenes": [
+            {"class_id": meta.class_id, "bbox": list(meta.bbox), "question": meta.question,
+             "split": meta.split}
+            for meta in m.scene_meta.values()
         ],
-        "train_ids": m.train_ids,
-        "test_ids": m.test_ids,
-        "scenes": {
-            sid: {
-                "class_id": meta.class_id,
-                "bbox": list(meta.bbox),
-                "question": meta.question,
-                "answer": meta.answer,
-                "split": meta.split,
-            }
-            for sid, meta in sorted(m.scene_meta.items())
-        },
     }
     write_atomic(out / "manifest.json", json.dumps(manifest_doc, indent=1, sort_keys=True))
     pool_doc = {
@@ -518,37 +472,42 @@ def load_dataset(path) -> World:
     return World(manifest, grids, pools)
 
 
+def _expect(ok: bool, what: str, kind: str, value) -> None:
+    if not ok:
+        raise ArtifactError(f"manifest.json: {what} must be {kind}, got {value!r:.40}")
+
+
+def _list_of(value, kind: type) -> bool:
+    return type(value) is list and all(json_fits(v, kind) for v in value)
+
+
 def _manifest_from_json(doc) -> DatasetManifest:
-    # The JSON types each scalar may have (no bool for an int); *_ids are lists of them.
-    scalars = {"seed": (int,), "g": (int,), "d_v": (int,), "d_t": (int,),
-               "alpha": (int, float), "noise": (int, float), "vision_identity": (bool,),
-               "rare_ids": (int,), "train_ids": (str,), "test_ids": (str,)}
-    doc = json_object(doc, "manifest.json", *scalars, "counts", "classes", "scenes")
-    for key, kinds in scalars.items():
-        many = key.endswith("_ids")
-        values = doc[key] if many else [doc[key]]
-        if type(values) is not list or any(type(v) not in kinds for v in values):
-            what = " or ".join(k.__name__ for k in kinds)
-            raise ArtifactError(f"manifest.json: {key} must be {'a list of ' * many}{what}, "
-                                f"got {doc[key]!r:.40}")
-    classes = []
-    for c in doc["classes"]:
-        c = json_object(c, "manifest.json class", "class_id", "name", "signature",
-                        "frequency_weight")
-        classes.append(ClassSpec(c["class_id"], c["name"],
-                                 np.array(c["signature"], dtype=np.float64), c["frequency_weight"]))
-    scene_meta = {}
-    for sid, rec in doc["scenes"].items():
-        rec = json_object(rec, f"manifest.json scene {sid}", "class_id", "bbox",
-                          "question", "answer", "split")
-        scene_meta[sid] = SceneMeta(sid, rec["class_id"], tuple(rec["bbox"]),
-                                    rec["question"], rec["answer"], rec["split"])
-    return DatasetManifest(
-        classes=classes,
-        counts={int(k): v for k, v in doc["counts"].items()},
-        scene_meta=scene_meta,
-        **{k: doc[k] for k in scalars},
-    )
+    """Read manifest.json strictly: any wrong shape or type is an ArtifactError."""
+    doc = json_object(doc, "manifest.json", "config", "seed", "names", "rare_ids", "scenes")
+    try:
+        cfg = from_json(DatasetConfig, doc["config"], "config")
+    except ConfigError as err:
+        raise ArtifactError(f"manifest.json: {err}") from err
+    names, rare_ids, scenes = doc["names"], doc["rare_ids"], doc["scenes"]
+    n = cfg.n_classes
+    _expect(json_fits(doc["seed"], int), "seed", "an int", doc["seed"])
+    _expect(_list_of(names, str) and len(names) == n, "names", f"{n} strings", names)
+    _expect(_list_of(rare_ids, int) and set(rare_ids) <= set(range(n)), "rare_ids",
+            "a list of class ids", rare_ids)
+    manifest = DatasetManifest(cfg, doc["seed"], names, rare_ids, {})
+    total = sum(manifest.counts.values()) + n * cfg.test_per_class
+    _expect(type(scenes) is list and len(scenes) == total, "scenes", f"{total} records", scenes)
+    for i, rec in enumerate(scenes):
+        at = f"scenes.{i}"
+        rec = json_object(rec, f"manifest.json: {at}", "class_id", "bbox", "question", "split")
+        cid, bbox, question, split = rec["class_id"], rec["bbox"], rec["question"], rec["split"]
+        _expect(json_fits(cid, int) and 0 <= cid < n, f"{at}.class_id", "a class id", cid)
+        _expect(_list_of(bbox, int) and len(bbox) == 4, f"{at}.bbox", "4 ints", bbox)
+        _expect(type(question) is str, f"{at}.question", "a string", question)
+        _expect(split in ("train", "test"), f"{at}.split", "train or test", split)
+        sid = _scene_id(i)
+        manifest.scene_meta[sid] = SceneMeta(sid, cid, tuple(bbox), question, names[cid], split)
+    return manifest
 
 
 def _pools_from_json(doc) -> TextPool:

@@ -359,10 +359,32 @@ def test_torn_vocab_reruns_vlm_through_eval(tmp_path, pipeline_run):
         assert (torn / name).read_bytes() == (out / name).read_bytes(), name
 
 
+def parent_layout(manifest: dict) -> dict:
+    """The manifest in the layout written before it stored its config section.
+
+    That layout mirrored six config fields and kept class specs, counts,
+    split id lists and a scene object keyed by id.
+    """
+    cfg, names, rare_ids = manifest["config"], manifest["names"], manifest["rare_ids"]
+    counts = [cfg["rare_n"] if c in rare_ids else cfg["common_n"] for c in range(len(names))]
+    scenes = {f"s{i:05d}": {**rec, "answer": names[rec["class_id"]]}
+              for i, rec in enumerate(manifest["scenes"])}
+    return {
+        "seed": manifest["seed"], "g": cfg["grid"], "rare_ids": rare_ids,
+        **{k: cfg[k] for k in ("d_v", "d_t", "alpha", "noise", "vision_identity")},
+        "counts": {str(c): n for c, n in enumerate(counts)},
+        "classes": [{"class_id": c, "name": name, "signature": [0.0] * cfg["d_v"],
+                     "frequency_weight": float(counts[c])} for c, name in enumerate(names)],
+        "train_ids": [sid for sid, rec in scenes.items() if rec["split"] == "train"],
+        "test_ids": [sid for sid, rec in scenes.items() if rec["split"] == "test"],
+        "scenes": scenes,
+    }
+
+
 # A JSON artifact that parses but lacks what its reader needs is treated like a
 # torn one: the stages listed are the ones a torn copy of the same file reruns.
 @pytest.mark.parametrize("name, damage, stages", [
-    ("dataset/manifest.json", lambda doc: {k: v for k, v in doc.items() if k != "classes"},
+    ("dataset/manifest.json", lambda doc: {k: v for k, v in doc.items() if k != "config"},
      ["dataset", "vlm", "classes", "adapter", "eval"]),
     ("dataset/textpool.json",
      lambda doc: {**doc, "0": {"attribute_phrases": doc["0"]["attribute_phrases"]}},
@@ -374,11 +396,14 @@ def test_torn_vocab_reruns_vlm_through_eval(tmp_path, pipeline_run):
      ["dataset", "vlm", "classes", "adapter", "eval"]),
     ("dataset/textpool.json", lambda doc: {("x" if k == "0" else k): v for k, v in doc.items()},
      ["dataset", "vlm", "classes", "adapter", "eval"]),
-    ("dataset/manifest.json", lambda doc: {**doc, "g": str(doc["g"])},
+    ("dataset/manifest.json",
+     lambda doc: {**doc, "scenes": [{**doc["scenes"][0], "class_id": "1"}, *doc["scenes"][1:]]},
      ["dataset", "vlm", "classes", "adapter", "eval"]),
-], ids=["manifest-without-classes", "textpool-without-lexical-variants", "vocab-without-specials",
+    ("dataset/manifest.json", parent_layout, ["dataset", "vlm", "classes", "adapter", "eval"]),
+], ids=["manifest-without-config", "textpool-without-lexical-variants", "vocab-without-specials",
         "report-without-modes", "run-meta-without-stages", "manifest-scenes-not-an-object",
-        "textpool-class-key-not-an-int", "manifest-g-a-string"])
+        "textpool-class-key-not-an-int", "manifest-scene-class-id-a-string",
+        "manifest-parent-layout"])
 def test_cli_wrong_shape_json_rebuilds_like_torn(tmp_path, pipeline_run, monkeypatch,
                                                   name, damage, stages):
     out, _, _ = pipeline_run
