@@ -1,5 +1,8 @@
 """Input validation and artifact helpers: estimator inputs, stored JSON, atomic writes.
 
+At import it also sets the process's heap policy (see
+keep_large_temporaries_in_the_heap).
+
 The learnable components follow the familiar fit/transform/predict shape:
 each takes its config section and a seed, and fitted state lands in
 trailing-underscore attributes. Config sections are read from JSON by one
@@ -9,6 +12,7 @@ dataset section that dataset/manifest.json stores.
 
 from __future__ import annotations
 
+import ctypes
 import os
 from dataclasses import fields, is_dataclass
 from pathlib import Path
@@ -16,6 +20,41 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ArtifactError, ConfigError, NotFittedError, ShapeError
+
+# glibc's mallopt parameters (malloc.h) and the values set for them.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+MMAP_THRESHOLD = 32 << 20  # the largest value every 64-bit glibc accepts
+TRIM_THRESHOLD = 128 << 20
+
+
+def keep_large_temporaries_in_the_heap() -> None:
+    """Serve numpy temporaries up to 32 MiB from the heap, and keep freed memory.
+
+    By default glibc hands large freed blocks back to the kernel (it maps a
+    block of 128 KiB or more on its own and unmaps it when freed, and trims
+    the heap's free top), so every large temporary (a [110, 512] float64 FFN
+    row block is 440 KiB) is faulted in page by page on each use.
+    autodiff.gelu at that shape takes 1.2 ms and 408 minor faults a call,
+    against 0.39 ms and none under this policy. Both settings are needed:
+    with M_MMAP_THRESHOLD alone the freed block is trimmed back to the
+    kernel (408 faults), with M_TRIM_THRESHOLD alone it is mapped (444).
+    Setting either also switches off the dynamic threshold. Only addresses
+    change, never a value, and up to TRIM_THRESHOLD of freed heap may stay
+    resident.
+
+    The policy is process-wide and forked children inherit it. Called once
+    when the package is imported; where libc has no mallopt it does nothing.
+    """
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library to open
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, TRIM_THRESHOLD)
+
+
+keep_large_temporaries_in_the_heap()
 
 
 def check_is_fitted(estimator, attribute: str) -> None:

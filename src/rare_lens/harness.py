@@ -226,6 +226,19 @@ def _build_dataset(cfg: ExperimentConfig, got: dict, records: dict):
     return generate_dataset(cfg.dataset, cfg.seed), {}
 
 
+def _load_dataset(cfg: ExperimentConfig, path: Path, got: dict) -> World:
+    """The stored dataset, if its manifest records this run's section and seed.
+
+    A manifest that records another one (say, a key lost from its config
+    section, which then reads as the default) does not describe its scene
+    files, so it is treated like a torn one and the stage rebuilds.
+    """
+    world = load_dataset(path)
+    if world.manifest.config != cfg.dataset or world.manifest.seed != cfg.seed:
+        raise ArtifactError(f"{path}/manifest.json: records another dataset config or seed")
+    return world
+
+
 def _build_vlm(cfg: ExperimentConfig, got: dict, records: dict):
     vlm, tokenizer, log = pretrain_fixture(got["dataset"], cfg.fixture, cfg.seed)
     return (vlm, tokenizer), {"weights_crc": vlm.checksum(), "gate": log["gate"],
@@ -332,7 +345,7 @@ PIPELINE = (
           lambda cfg, got: {"dataset": asdict(cfg.dataset), "seed": cfg.seed},
           _build_dataset,
           lambda path, world: save_dataset(world, path),
-          lambda cfg, path, got: load_dataset(path)),
+          _load_dataset),
     Stage("vlm", ("dataset",), "vlm.ckpt",
           lambda cfg, got: {"fixture": asdict(cfg.fixture), "version": ckpt.VERSION},
           _build_vlm, _save_vlm, _load_vlm),

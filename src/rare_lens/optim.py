@@ -163,17 +163,19 @@ class ForkedWorkers:
     contiguous block per process, runs the first block in the caller while
     the children run the others, and returns the blocks' results in block
     order. The constructor forks the children, so they inherit whatever the
-    tasks read; only the items and the results cross the pipes. params are
-    the tensors the tasks read and the caller updates: each child's copies
-    are views of one shared mapping, which run() fills with the caller's
-    current arrays before it dispatches (AdamW and the guard's rollback
-    rebind them). Each child has its own shared region of result_floats
-    floats, room for the largest result one block returns: it copies its
-    result there while the caller may still be running its own block, and
-    answers on its pipe with where each array lies. A child's result that
-    does not fit raises ContractError. Untouched pages take no memory.
-    Every block runs in a fresh context, so a task records nothing on a
-    tape the caller holds open, in the caller or in a child.
+    tasks read and the heap policy the package sets at import (see
+    base.keep_large_temporaries_in_the_heap); only the items and the
+    results cross the pipes. params are the tensors the tasks read and the
+    caller updates: each child's copies are views of one shared mapping,
+    which run() fills with the caller's current arrays before it dispatches
+    (AdamW and the guard's rollback rebind them). Each child has its own
+    shared region of result_floats floats, room for the largest result one
+    block returns: it copies its result there while the caller may still be
+    running its own block, and answers on its pipe with where each array
+    lies. A child's result that does not fit raises ContractError.
+    Untouched pages take no memory. Every block runs in a fresh context, so
+    a task records nothing on a tape the caller holds open, in the caller
+    or in a child.
 
     No child is made, and every block runs in the caller, when `processes`
     (default worker_processes()) is 1, when the platform has no os.fork, or

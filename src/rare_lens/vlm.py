@@ -48,20 +48,21 @@ class TokenSequence:
 
     ids: list[int]
     roles: list[int]
+    _n_visual: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.ids) != len(self.roles):
             raise ContractError("ids and roles must have equal length")
-        n_vis = self.n_visual
-        if any(r == Role.VISUAL for r in self.roles[n_vis:]):
-            raise ContractError("visual positions must form a contiguous prefix")
-
-    @property
-    def n_visual(self) -> int:
         n = 0
         while n < len(self.roles) and self.roles[n] == Role.VISUAL:
             n += 1
-        return n
+        if any(r == Role.VISUAL for r in self.roles[n:]):
+            raise ContractError("visual positions must form a contiguous prefix")
+        self._n_visual = n
+
+    @property
+    def n_visual(self) -> int:
+        return self._n_visual
 
     @property
     def text_ids(self) -> list[int]:

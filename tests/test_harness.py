@@ -678,6 +678,20 @@ def fail_one_replace(monkeypatch, name: str) -> list:
     return failed
 
 
+def test_manifest_that_lost_a_config_key_rebuilds_the_dataset(tmp_path, quick_run):
+    # Without its grid key the section reads as grid 5 over 4x4 scene files.
+    run = tmp_path / "run"
+    shutil.copytree(quick_run, run)
+    path = run / "dataset" / "manifest.json"
+    doc = json.loads(path.read_text())
+    del doc["config"]["grid"]
+    path.write_text(json.dumps(doc))
+    arts, report = run_pipeline(config_from_dict(QUICK_DOC), run)
+    assert "dataset" in report["stages_run"]
+    assert arts.world.manifest.config.grid == QUICK_DOC["dataset"]["grid"]
+    assert run_files(run) == run_files(quick_run)
+
+
 @pytest.mark.parametrize("name", [
     "dataset/manifest.json", "dataset/textpool.json", "vlm.ckpt", "vocab.json", "classes.ckpt",
     "adapter.ckpt", "report.json", "run_meta.json"])

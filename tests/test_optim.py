@@ -1,6 +1,8 @@
 """The bold-driver guard and the one epoch loop every trained piece runs."""
 
+import ctypes
 import os
+import resource
 import signal
 import threading
 
@@ -8,6 +10,7 @@ import numpy as np
 import pytest
 
 from rare_lens import autodiff as ad
+from rare_lens import optim
 from rare_lens.autodiff import GradTape, Tensor, backward
 from rare_lens.errors import ContractError
 from rare_lens.optim import AdamW, ForkedWorkers, MonotoneGuard, train_epochs, worker_processes
@@ -196,3 +199,29 @@ def test_a_worker_process_killed_mid_task_raises_instead_of_hanging():
         assert workers._children == [] and workers.processes == 1
         with pytest.raises(ProcessLookupError):  # reaped, not even a zombie
             os.kill(pid, 0)
+
+
+def libc_has_mallopt() -> bool:
+    try:
+        return hasattr(ctypes.CDLL(None), "mallopt")
+    except (OSError, TypeError):
+        return False
+
+
+@pytest.mark.skipif(not libc_has_mallopt(), reason="the heap policy needs glibc's mallopt")
+def test_large_temporaries_stop_faulting_in_the_caller_and_in_a_forked_child(monkeypatch):
+    # A [110, 512] float64 temporary is 440 KiB: without the heap policy set
+    # at import, each of the 20 passes faults about 400 pages back in.
+    x = Tensor(np.random.default_rng(0).normal(size=(110, 512)))
+
+    def faults(i):
+        ad.gelu(x)  # warm-up
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        for _ in range(20):
+            ad.gelu(x)
+        return [resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before, os.getpid()]
+
+    monkeypatch.setattr(optim, "worker_processes", lambda: 2)
+    (caller, caller_pid), (child, child_pid) = optim.map_rows(faults, 2, 2)
+    assert caller_pid == os.getpid() and child_pid != caller_pid  # block 1 ran in a child
+    assert caller < 50 and child < 50, (caller, child)
