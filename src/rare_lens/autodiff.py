@@ -357,7 +357,7 @@ def rmsnorm_rows(a: Tensor, eps: float = 1e-8) -> Tensor:
         raise ShapeError(f"rmsnorm_rows needs a matrix, got {a.shape}")
     x = a.array
     n = x.shape[1]
-    ms = (x * x).mean(axis=1, keepdims=True) + eps
+    ms = np.add.reduce(x * x, axis=1, keepdims=True) / n + eps  # mean's bits, without its wrapper
     s = ms**-0.5
     out = _out(x * s)
 
@@ -446,8 +446,9 @@ def multihead_attention(
     to every head's scores: 0 where a query sees a key, -inf where it does
     not, and each query must see at least one key; rows always sum to 1.
     _causal_mask(n, m) makes the n queries the last n of the m key
-    positions, each seeing the keys at or before its own; a decoding trie
-    (vlm.generate) lets each row see its ancestors and itself.
+    positions, each seeing the keys at or before its own. A decoding trie
+    (vlm._decode_step) calls it once per block of rows that share a root,
+    over that block's keys only, each row seeing its ancestors and itself.
     """
     n, d = q.shape
     m = k.shape[0]

@@ -22,7 +22,7 @@ from .adapter import VisualTokenAdapter
 from .embeddings import ClassEmbeddingLearner, ClassEmbeddingTable, ProjectionHeads
 from .errors import ContractError, PairingError
 from .prompting import enrich_prompt
-from .vlm import VLM, DecodeRequest, Tokenizer, build_prompt, connector, generate
+from .vlm import VLM, DecodeRequest, Tokenizer, build_prompts, connector, generate
 from .world import SceneMeta, VisionEncoder
 
 MODES = ("baseline", "visual-only", "hints-only", "all-classes-hints", "full")
@@ -108,13 +108,14 @@ class SceneContext:
     `arms` lists the (mode, k) arms that will answer the scene; asking for
     another raises ContractError. detect_and_answer(..., scene=ctx) fills
     the context lazily, inside the first call that needs each part: the
-    score map, the connector tokens, the refined tokens, and the answers of
-    every arm on the list, from one vlm.generate call with one request per
-    arm. The arms that read one set of visual tokens pass one Tensor, so
-    the trie holds their visual, bos and question rows once; the hint
-    suffixes follow the question, so k-sweep prompts also share their
-    leading hints, and arms that send equal prompts decode once. A context
-    serves one scene and one set of artifacts; drop it after the scene.
+    score map, the connector tokens, the refined tokens, every arm's
+    detection and prompt (vlm.build_prompts), and the answers of every arm
+    on the list, from one vlm.generate call with one request per arm. The
+    arms that read one set of visual tokens pass one Tensor, so the trie
+    holds their visual, bos and question rows once; the hint suffixes
+    follow the question, so k-sweep prompts also share their leading hints,
+    and arms that send equal prompts decode once. A context serves one
+    scene and one set of artifacts; drop it after the scene.
     """
 
     scene_id: str
@@ -174,29 +175,30 @@ def detect_and_answer(
             raise PairingError("adapter was trained against a different class table")
         return ctx.get("refined", lambda: adapter.transform(v, table))
 
-    def arm(mode: str, k: int):
-        """The arm's detection, whether it reads refined tokens, and its prompt."""
-        detection = top_k(smap, k, table.class_names)
-        if mode in ("hints-only", "full"):
-            text = enrich_prompt(meta.question, detection.names)
-        elif mode == "all-classes-hints":
-            text = enrich_prompt(meta.question, table.class_names)
-        else:
-            text = meta.question
-        return detection, mode in ("visual-only", "full"), text
+    def plan_arms() -> dict:
+        """Per arm: its detection, whether it reads refined tokens, its prompt text and ids."""
+        detections = {kk: top_k(smap, kk, table.class_names)
+                      for kk in dict.fromkeys(kk for _, kk in ctx.arms)}
+        hints = [detections[kk].names if arm_mode in ("hints-only", "full")
+                 else table.class_names if arm_mode == "all-classes-hints" else []
+                 for arm_mode, kk in ctx.arms]
+        prompts = build_prompts(tokenizer, v.shape[0], meta.question, hints)
+        return {(arm_mode, kk): (detections[kk], arm_mode in ("visual-only", "full"),
+                                 enrich_prompt(meta.question, names), prompt)
+                for (arm_mode, kk), names, prompt in zip(ctx.arms, hints, prompts)}
 
     def answer_every_arm() -> dict:
         visuals: dict = {}  # refined? -> one Tensor, so its arms share trie rows
         requests = []
-        for arm_mode, arm_k in ctx.arms:
-            _, refine, text = arm(arm_mode, arm_k)
+        for arm in ctx.arms:
+            _, refine, _, prompt = arms[arm]
             if refine not in visuals:
                 visuals[refine] = ad.Tensor(tokens(refine))
-            prompt = build_prompt(tokenizer, v.shape[0], text)
             requests.append(DecodeRequest(visuals[refine], prompt))
         return dict(zip(ctx.arms, generate(vlm, requests, max_len)))
 
-    detection, refine, prompt_text = arm(mode, k)
+    arms = ctx.get("arms", plan_arms)
+    detection, refine, prompt_text, _ = arms[mode, k]
     v_hat = tokens(refine)
     generated = ctx.get(("answers", max_len), answer_every_arm)[mode, k]
     answer_text = tokenizer.decode([t for t in generated if t != tokenizer.eos])

@@ -10,6 +10,12 @@ QUESTION_TEMPLATES = (
 HINT_SUFFIX = " [Detected: {names}]"
 
 
+def hint_suffix(names: list[str]) -> str:
+    """' [Detected: a, b, c]', or '' when no names are given."""
+    names = list(names)
+    return HINT_SUFFIX.format(names=", ".join(names)) if names else ""
+
+
 def enrich_prompt(prompt: str, names: list[str]) -> str:
     """Append ' [Detected: a, b, c]'; identity when no names are given.
 
@@ -17,7 +23,4 @@ def enrich_prompt(prompt: str, names: list[str]) -> str:
     """
     if not prompt:
         raise ValueError("prompt must be nonempty")
-    names = list(names)
-    if not names:
-        return prompt
-    return prompt + HINT_SUFFIX.format(names=", ".join(names))
+    return prompt + hint_suffix(names)

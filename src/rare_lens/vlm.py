@@ -30,7 +30,7 @@ from .errors import ArtifactError, ContractError, GateError, ShapeError
 from .optim import (
     AdamW, ForkedWorkers, MonotoneGuard, fold, map_rows, mean_gradient, train_epochs,
 )
-from .prompting import HINT_SUFFIX, enrich_prompt
+from .prompting import HINT_SUFFIX, enrich_prompt, hint_suffix
 from .world import VisionEncoder, World, random_object_grid
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|[^\sa-z0-9]")
@@ -53,10 +53,8 @@ class TokenSequence:
     def __post_init__(self):
         if len(self.ids) != len(self.roles):
             raise ContractError("ids and roles must have equal length")
-        n = 0
-        while n < len(self.roles) and self.roles[n] == Role.VISUAL:
-            n += 1
-        if any(r == Role.VISUAL for r in self.roles[n:]):
+        n = self.roles.count(Role.VISUAL)
+        if self.roles[:n].count(Role.VISUAL) != n:
             raise ContractError("visual positions must form a contiguous prefix")
         self._n_visual = n
 
@@ -357,36 +355,51 @@ def generate(vlm: VLM, requests: list[DecodeRequest], max_len: int) -> list[list
 
     The prompts form one token trie with a row per distinct prefix: a visual
     row is keyed by the visual Tensor it comes from (by identity) and its
-    position, a text row by its token id under its parent row. One
-    _decode_step pass prefills every row, each attending to its ancestors
-    and itself, and gives the first token of every prompt. Requests whose
-    prompts end on one row decode once. After that each prompt still
-    decoding adds one row per step that sees its own path. A prompt stops
-    after <eos> or max_len tokens. Returns each request's generated ids
-    (with the closing <eos> when emitted), which equal those of decoding it
-    alone up to float rounding.
+    position, a text row by its token id under its parent row. A root is a
+    trie's first key: a visual Tensor, or a text-only prompt's first token.
+    The rows are laid out root by root (requests in order of their root's
+    first request, then in request order), so each root's rows form one
+    block. One _decode_step pass prefills every row, each attending to its
+    ancestors and itself within its block, and gives the first token of
+    every prompt. Requests whose prompts end on one row decode once, in
+    order of each one's first request. After that each prompt still decoding
+    adds one row per step that sees its own path. A prompt stops after <eos>
+    or max_len tokens. Returns each request's generated ids (with the
+    closing <eos> when emitted), which equal those of decoding it alone up
+    to float rounding.
     """
     cfg = vlm.config
-    row_of: dict = {}  # (parent row, (id(visual), position) or token id) -> row
-    parents, segments, visuals, ends = [], [], [], []
-    for r in requests:
+    by_root: dict = {}  # root -> indices of its requests, in request order
+    for j, r in enumerate(requests):
         ids, n_visual = r.prompt.ids, r.prompt.n_visual
         if len(ids) == n_visual:
             raise ContractError("prompt must be nonempty")
         m = 0 if r.visual is None else r.visual.shape[0]
         if m != n_visual:
             raise ContractError(f"prompt declares {n_visual} visual positions, got {m}")
-        row = -1
-        for pos, token in enumerate(ids):
-            key = (row, (id(r.visual), pos) if pos < m else token)
-            if key not in row_of:
-                row_of[key] = len(parents)
-                parents.append(row)
-                segments.append((1, [], pos) if pos < m else (0, [token], pos))
-                if pos == 0 and m:
-                    visuals.append(r.visual)  # its rows follow in order, as _embed reads them
-            row = row_of[key]
-        ends.append(row)
+        by_root.setdefault(r.visual if m else ids[0], []).append(j)
+    row_of: dict = {}  # (parent row, token id) -> row
+    parents, segments, visuals, blocks = [], [], [], []
+    ends = [0] * len(requests)
+    for root, group in by_root.items():
+        start = len(parents)
+        if isinstance(root, Tensor):  # the block opens with its visual rows
+            m = root.shape[0]
+            parents.extend([-1, *range(start, start + m - 1)])
+            segments.extend((1, [], pos) for pos in range(m))
+            visuals.append(root)  # its rows follow in order, as _embed reads them
+        for j in group:
+            ids, m = requests[j].prompt.ids, requests[j].prompt.n_visual
+            row = start + m - 1 if m else -1
+            for pos in range(m, len(ids)):
+                key = (row, ids[pos])
+                if key not in row_of:
+                    row_of[key] = len(parents)
+                    parents.append(row)
+                    segments.append((0, [ids[pos]], pos))
+                row = row_of[key]
+            ends[j] = row
+        blocks.append((start, len(parents)))
     stream_of = {row: s for s, row in enumerate(dict.fromkeys(ends))}  # per distinct last row
     streams = list(stream_of)
     out: list[list[int]] = [[] for _ in streams]
@@ -400,7 +413,7 @@ def generate(vlm: VLM, requests: list[DecodeRequest], max_len: int) -> list[list
             seen[r, r] = True
         kv = [(np.empty((seen.shape[1], cfg.dim)), np.empty((seen.shape[1], cfg.dim)))
               for _ in range(cfg.layers)]
-        logits = _decode_step(vlm, kv, visuals, segments, seen[:, :n], streams)
+        logits = _decode_step(vlm, kv, visuals, segments, seen[:, :n], streams, blocks=blocks)
         seen, live = seen[streams], list(range(len(streams)))
         positions = [segments[row][2] for row in streams]
         while True:
@@ -418,37 +431,54 @@ def generate(vlm: VLM, requests: list[DecodeRequest], max_len: int) -> list[list
 
 
 def _decode_step(vlm: VLM, kv: list, visuals: list[Tensor], segments: list,
-                 seen: np.ndarray, rows=None) -> np.ndarray:
+                 seen: np.ndarray, rows=None, blocks=None) -> np.ndarray:
     """One pass over new decoding rows, appended to the rows run so far.
 
     segments holds (visual rows, text ids, position) per new row, as _embed
     reads them, and visuals the visual blocks its visual rows come from.
     seen is a boolean [new rows, rows so far] array whose last new-rows
     columns are the new rows: row i attends to the rows seen[i] marks.
-    kv[i] holds layer i's keys and values, one [capacity, dim] array each;
-    the new rows' are written in place after the earlier rows' and every
-    row's are read where they lie. With `rows`, the last layer runs only
-    those new rows. Returns the logits of the rows that reach the head.
+    blocks cuts the rows so far into (start, stop) ranges, one by default; a
+    new row attends only within the block that holds it, so seen must mark
+    nothing outside it, and each block's query rows run as one attention
+    call over that block's keys and values. kv[i] holds layer i's keys and
+    values, one [capacity, dim] array each; the new rows' are written in
+    place after the earlier rows' and every row's are read where they lie.
+    With `rows`, the last layer runs only those new rows. Returns the logits
+    of the rows that reach the head, in the order of `rows`.
     """
     cfg, w = vlm.config, vlm.weights
     top = max(pos for _, _, pos in segments) + 1
     if top > cfg.context:
         raise ContractError(f"sequence length {top} exceeds context {cfg.context}")
     n_new, n = seen.shape
-    mask = np.where(seen, 0.0, -np.inf)
-    last = cfg.layers - 1
+    first_new = n - n_new
+    picked = None if rows is None else np.sort(rows)
+    blocks = blocks or [(0, n)]
+
+    def plan(queries: np.ndarray) -> list:
+        """(block start, stop, query slice, mask) per block of the ascending new rows."""
+        cuts = np.searchsorted(queries, np.array(blocks) - first_new).tolist()
+        return [(lo, hi, slice(a, b), np.where(seen[queries[a:b], lo:hi], 0.0, -np.inf))
+                for (lo, hi), (a, b) in zip(blocks, cuts) if a < b]
+
+    every = plan(np.arange(n_new))
+    plans = [every] * (cfg.layers - 1) + [every if rows is None else plan(picked)]
 
     def attend(i, q, k, v):
         keys, values = kv[i]
-        keys[n - n_new : n], values[n - n_new : n] = k.array, v.array
-        pruned = mask if rows is None or i < last else mask[rows]
-        return ad.multihead_attention(q, Tensor(keys[:n]), Tensor(values[:n]), cfg.heads,
-                                      pruned)[0]
+        keys[first_new:n], values[first_new:n] = k.array, v.array
+        out = np.empty(q.shape)
+        for lo, hi, sl, mask in plans[i]:
+            out[sl] = ad.multihead_attention(ad._out(q.array[sl]), ad._out(keys[lo:hi]),
+                                             ad._out(values[lo:hi]), cfg.heads, mask)[0].array
+        return ad._out(out)
 
     x = _embed(w, visuals, segments)
     for i in range(cfg.layers):
-        x = _decoder_layer(w, i, x, attend, rows if i == last else None)
-    return ad.matmul(x, vlm.head_tensor()).array
+        x = _decoder_layer(w, i, x, attend, picked if i == cfg.layers - 1 else None)
+    logits = ad.matmul(x, vlm.head_tensor()).array
+    return logits if rows is None else logits[np.searchsorted(picked, rows)]
 
 
 # <eos> sits at a fixed slot because specials lead the vocabulary.
@@ -456,9 +486,27 @@ EOS_ID = Tokenizer.SPECIALS.index("<eos>")
 
 
 def build_prompt(tokenizer: Tokenizer, n_visual: int, prompt_text: str) -> TokenSequence:
-    ids = [tokenizer.pad] * n_visual + [tokenizer.bos] + tokenizer.encode(prompt_text)
-    roles = [Role.VISUAL] * n_visual + [Role.PROMPT] * (len(ids) - n_visual)
-    return TokenSequence(ids, roles)
+    return build_prompts(tokenizer, n_visual, prompt_text, [[]])[0]
+
+
+def build_prompts(tokenizer: Tokenizer, n_visual: int, question: str,
+                  hint_lists: list[list[str]]) -> list[TokenSequence]:
+    """build_prompt(tokenizer, n_visual, enrich_prompt(question, names)) per hint list.
+
+    The question is tokenized once and each distinct hint list once: a hint
+    suffix opens with a space, so it splits into the same tokens on its own.
+    """
+    head = [tokenizer.pad] * n_visual + [tokenizer.bos] + tokenizer.encode(question)
+    suffixes: dict = {}
+    prompts = []
+    for names in hint_lists:
+        key = tuple(names)
+        if key not in suffixes:
+            suffixes[key] = tokenizer.encode(hint_suffix(names))
+        ids = head + suffixes[key]
+        prompts.append(TokenSequence(ids, [Role.VISUAL] * n_visual
+                                     + [Role.PROMPT] * (len(ids) - n_visual)))
+    return prompts
 
 
 def build_qa(

@@ -11,6 +11,7 @@ from rare_lens.adapter import AdapterConfig, VisualTokenAdapter
 from rare_lens.autodiff import Tensor
 from rare_lens.embeddings import ClassEmbeddingTable, init_heads
 from rare_lens.errors import ContractError, PairingError
+from rare_lens.prompting import QUESTION_TEMPLATES
 from rare_lens.world import VisionEncoder
 
 RNG = np.random.default_rng(31)
@@ -113,6 +114,18 @@ def test_enrich_prompt_not_idempotent_by_design():
     assert twice == "q [Detected: a] [Detected: a]"
 
 
+def test_build_prompts_equals_building_each_enriched_prompt(rare_world):
+    tokenizer = V.Tokenizer.build(rare_world)
+    names = rare_world.manifest.names
+    hint_lists = [names[:c] for c in range(len(names) + 1)]
+    hint_lists += [names[::-1], [], names[:1]]  # another order, and repeats
+    for question in QUESTION_TEMPLATES:
+        for n_visual in (0, 4):
+            assert V.build_prompts(tokenizer, n_visual, question, hint_lists) == [
+                V.build_prompt(tokenizer, n_visual, H.enrich_prompt(question, hints))
+                for hints in hint_lists]
+
+
 @pytest.fixture(scope="module")
 def inference_stack(mini_world, mini_fixture, mini_learner, mini_adapter):
     model, tokenizer, _ = mini_fixture
@@ -204,7 +217,7 @@ def test_scene_context_shares_work_and_keeps_answers(inference_stack):
         )
         assert shared.generated == alone.generated
         assert shared.prompt_text == alone.prompt_text
-    assert set(scene.parts) == {"score_map", "visual", "refined", ("answers", 3)}
+    assert set(scene.parts) == {"score_map", "visual", "refined", "arms", ("answers", 3)}
 
 
 def test_scene_context_rejects_another_scene(inference_stack):

@@ -46,6 +46,17 @@ def seq_of(ids, n_visual=0, n_answer=0):
 from conftest import MINI_FIXTURE_CFG, MINI_FIXTURE_SEED
 
 
+def test_token_sequence_counts_its_visual_prefix():
+    assert seq_of([0, 0, 5, 6], n_visual=2, n_answer=1).n_visual == 2
+    assert seq_of([5, 6]).n_visual == 0
+    assert V.TokenSequence([0, 0], [V.Role.VISUAL] * 2).n_visual == 2
+    for roles in ([1, 0], [0, 1, 0], [0, 2, 0, 1]):
+        with pytest.raises(ContractError, match="contiguous prefix"):
+            V.TokenSequence([0] * len(roles), roles)
+    with pytest.raises(ContractError, match="equal length"):
+        V.TokenSequence([0], [])
+
+
 def test_tokenizer_round_trip(mini_world):
     tok = V.Tokenizer.build(mini_world)
     text = "what object is in the marked region ?"
@@ -251,8 +262,8 @@ def test_batched_generate_step_logits_match_per_prompt_forwards(mixed_batch, mon
     steps = []
     real = V._decode_step
 
-    def recorded(*args):
-        steps.append((len(args[3]), real(*args)))
+    def recorded(*args, **kwargs):
+        steps.append((len(args[3]), real(*args, **kwargs)))
         return steps[-1][1]
 
     monkeypatch.setattr(V, "_decode_step", recorded)
@@ -275,6 +286,128 @@ def test_batched_generate_step_logits_match_per_prompt_forwards(mixed_batch, mon
             assert np.abs(row - want).max() <= 1e-12 * np.abs(want).max()
 
 
+def dense_decode_step(vlm, kv, visuals, segments, seen, rows=None, blocks=None):
+    """The dense-mask pass generate ran before its rows were cut into blocks.
+
+    Every new row's queries run against every key row in one attention call,
+    with seen turned into an additive mask; `blocks` is ignored.
+    """
+    cfg, w = vlm.config, vlm.weights
+    n_new, n = seen.shape
+    mask = np.where(seen, 0.0, -np.inf)
+    last = cfg.layers - 1
+
+    def attend(i, q, k, v):
+        keys, values = kv[i]
+        keys[n - n_new : n], values[n - n_new : n] = k.array, v.array
+        pruned = mask if rows is None or i < last else mask[rows]
+        return ad.multihead_attention(q, Tensor(keys[:n]), Tensor(values[:n]), cfg.heads,
+                                      pruned)[0]
+
+    x = V._embed(w, visuals, segments)
+    for i in range(cfg.layers):
+        x = V._decoder_layer(w, i, x, attend, rows if i == last else None)
+    return ad.matmul(x, vlm.head_tensor()).array
+
+
+def on(visual, tail):
+    """A request with `visual` (or None) and text tokens `tail`."""
+    m = 0 if visual is None else visual.shape[0]
+    return V.DecodeRequest(visual, seq_of([0] * m + tail, n_visual=m))
+
+
+def multi_root_batch():
+    """Four roots: two visual Tensors whose requests interleave, and text-only
+    prompts on two first tokens, with shared prefixes and a repeat."""
+    model = make_vlm(layers=2, heads=2, dim=8, vocab=11, d_v=8)
+    rng = np.random.default_rng(3)
+    a, b = Tensor(rng.normal(size=(3, 8))), Tensor(rng.normal(size=(2, 8)))
+    requests = [on(a, [4, 5, 6]), on(b, [4, 5]), on(None, [3, 6, 2]), on(a, [4, 5, 7, 8]),
+                on(None, [5, 2]), on(b, [4, 9]), on(None, [3, 6]), on(a, [4, 5, 6]),
+                on(None, [5, 2, 7, 7])]
+    return model, requests, 6
+
+
+def sweep_shaped_batch():
+    """A bench sweep scene in miniature: 14 arms over plain and refined visual
+    Tensors, 6 classes, hint suffixes of the ranked names (k 1 to 9)."""
+    model = make_vlm(layers=2, heads=2, dim=8, vocab=24, d_v=8)
+    rng = np.random.default_rng(4)
+    plain, refined = Tensor(rng.normal(size=(5, 8))), Tensor(rng.normal(size=(5, 8)))
+    names, ranked = list(range(12, 18)), [14, 12, 17, 13, 16, 15]
+    question = [0, 4, 5, 6, 7, 8, 9]  # <bos> first
+
+    def hinted(hints):
+        commas = [t for name in hints for t in (21, name)][1:]
+        return question + ([18, 19, 20, *commas, 22] if hints else [])
+
+    arms = [(plain, []), (refined, []), (plain, ranked[:3]), (plain, names), (refined, ranked[:3])]
+    arms += [(plain, ranked[:k]) for k in range(1, 10)]
+    return model, [on(visual, hinted(hints)) for visual, hints in arms], 3
+
+
+def root_ranges(requests) -> list:
+    """(start, stop) trie rows of each root, roots in order of first request."""
+    roots: dict = {}
+    for r in requests:
+        roots.setdefault(id(r.visual) if r.prompt.n_visual else r.prompt.ids[0], []).append(r)
+    stops = np.cumsum([trie_rows(group) for group in roots.values()]).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
+@pytest.mark.parametrize("batch", [multi_root_batch, sweep_shaped_batch])
+def test_per_root_prefill_matches_the_dense_mask_oracle(batch, monkeypatch):
+    model, requests, max_len = batch()
+    assert len(root_ranges(requests)) >= 2
+    runs = {}
+    for name, step in (("blocks", V._decode_step), ("dense", dense_decode_step)):
+        logits = []
+
+        def recorded(*args, step=step, logits=logits, **kwargs):
+            logits.append(step(*args, **kwargs))
+            return logits[-1]
+
+        monkeypatch.setattr(V, "_decode_step", recorded)
+        runs[name] = V.generate(model, requests, max_len), logits
+    (answers, logits), (dense_answers, dense_logits) = runs["blocks"], runs["dense"]
+    assert answers == dense_answers
+    assert answers == [stepwise_generate(model, r.visual, r.prompt, max_len) for r in requests]
+    assert len(logits) == len(dense_logits)
+    for got, want in zip(logits, dense_logits):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12 * np.abs(want).max()
+
+
+@pytest.mark.parametrize("batch", [multi_root_batch, sweep_shaped_batch])
+def test_prefill_attention_never_mixes_roots(batch, monkeypatch):
+    model, requests, max_len = batch()
+    ranges = root_ranges(requests)
+    calls, kv_of_pass = [], []
+    real_step, real_attention = V._decode_step, ad.multihead_attention
+
+    def step(vlm, kv, *args, **kwargs):
+        kv_of_pass.append(kv)
+        return real_step(vlm, kv, *args, **kwargs)
+
+    def attention(q, k, v, *args, **kwargs):
+        if len(kv_of_pass) == 1:  # the prefill
+            layer = next(i for i, (keys, _) in enumerate(kv_of_pass[0])
+                         if np.shares_memory(k.array, keys))
+            keys = kv_of_pass[0][layer][0]
+            start = (k.array.ctypes.data - keys.ctypes.data) // keys.strides[0]
+            calls.append((layer, start, start + k.shape[0]))
+        return real_attention(q, k, v, *args, **kwargs)
+
+    monkeypatch.setattr(V, "_decode_step", step)
+    monkeypatch.setattr(ad, "multihead_attention", attention)
+    V.generate(model, requests, max_len)
+    assert len(kv_of_pass) > 1
+    # One call per root and layer, each over exactly that root's rows.
+    assert calls == [(layer, *span) for layer in range(model.config.layers) for span in ranges]
+    assert max(stop - start for _, start, stop in calls) == max(b - a for a, b in ranges)
+    assert max(b - a for a, b in ranges) < trie_rows(requests)
+
+
 def test_generate_context_overflow_raises_at_the_uncached_step(monkeypatch):
     model = make_vlm(layers=2, heads=2, dim=8, vocab=11)
     prompt = seq_of([4, 2, 7] * 21)  # context - 1 = 63 tokens
@@ -290,8 +423,8 @@ def test_generate_context_overflow_raises_at_the_uncached_step(monkeypatch):
 
     real = V._decode_step
 
-    def counted(*args):
-        out = real(*args)
+    def counted(*args, **kwargs):
+        out = real(*args, **kwargs)
         done["cached"] += 1
         return out
 
