@@ -446,9 +446,11 @@ def multihead_attention(
     to every head's scores: 0 where a query sees a key, -inf where it does
     not, and each query must see at least one key; rows always sum to 1.
     _causal_mask(n, m) makes the n queries the last n of the m key
-    positions, each seeing the keys at or before its own. A decoding trie
-    (vlm._decode_step) calls it once per block of rows that share a root,
-    over that block's keys only, each row seeing its ancestors and itself.
+    positions, each seeing the keys at or before its own. Every attention
+    of the decoder is one call per sequence: vlm.batch_nll calls it once per
+    sequence of a batch, over that sequence's rows only, and a decoding trie
+    (vlm._decode_step) once per block of rows that share a root, over that
+    block's keys only, each row seeing its ancestors and itself.
     """
     n, d = q.shape
     m = k.shape[0]
@@ -459,6 +461,7 @@ def multihead_attention(
     if mask is not None and mask.shape != (n, m):
         raise ShapeError(f"attention mask {mask.shape} does not fit {n} queries over {m} keys")
     dh = d // n_heads
+    scale = 1.0 / np.sqrt(dh)
 
     def split(rows):  # [r, d] -> [heads, r, dh]; batched matmul beats einsum here
         return rows.reshape(len(rows), n_heads, dh).transpose(1, 0, 2)
@@ -466,20 +469,7 @@ def multihead_attention(
     def merge(heads):  # [heads, r, dh] -> [r, d]
         return heads.transpose(1, 0, 2).reshape(-1, d)
 
-    return _attention(q, k, v, dh, mask, split, merge, split, merge)
-
-
-def _attention(q: Tensor, k: Tensor, v: Tensor, dh: int, mask, split_q, merge_q, split_kv,
-               merge_kv) -> tuple[Tensor, np.ndarray]:
-    """The masked softmax attention kernel and its VJPs, over head-split arrays.
-
-    split_q / split_kv turn the query / key and value rows into [..., heads,
-    len, dh] arrays, and merge_q / merge_kv turn such arrays back into rows;
-    `mask` (or None) is added to every head's scores. Returns the recorded
-    output rows and the attention weights [..., heads, queries, keys].
-    """
-    scale = 1.0 / np.sqrt(dh)
-    qh, kh, vh = split_q(q.array), split_kv(k.array), split_kv(v.array)
+    qh, kh, vh = split(q.array), split(k.array), split(v.array)
     # The softmax runs in place on one scores array, with the same
     # operations (so the same bits) as the plain expression.
     weights = qh @ kh.swapaxes(-1, -2)
@@ -489,102 +479,25 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, dh: int, mask, split_q, merge_q,
     weights -= weights.max(axis=-1, keepdims=True)
     np.exp(weights, out=weights)
     weights /= weights.sum(axis=-1, keepdims=True)
-    out = _out(merge_q(weights @ vh))
+    out = _out(merge(weights @ vh))
     memo: list = [None, None]  # backward hands vjp_q and vjp_k the same g
 
     def grad_scores(g):
         if memo[0] is not g:
-            gw = split_q(g) @ vh.swapaxes(-1, -2)
+            gw = split(g) @ vh.swapaxes(-1, -2)
             memo[:] = g, weights * (gw - (weights * gw).sum(axis=-1, keepdims=True))
         return memo[1]
 
     def vjp_q(g):
-        return merge_q(scale * (grad_scores(g) @ kh))
+        return merge(scale * (grad_scores(g) @ kh))
 
     def vjp_k(g):
-        return merge_kv(scale * (grad_scores(g).swapaxes(-1, -2) @ qh))
+        return merge(scale * (grad_scores(g).swapaxes(-1, -2) @ qh))
 
     def vjp_v(g):
-        return merge_kv(weights.swapaxes(-1, -2) @ split_q(g))
+        return merge(weights.swapaxes(-1, -2) @ split(g))
 
     return _record(out, (q, k, v), (vjp_q, vjp_k, vjp_v)), weights
-
-
-class SegmentPlan:
-    """Index plan for causal attention within segments of stacked rows.
-
-    Segment b is lengths[b] consecutive rows of the key block; they pad into
-    the slots [b, 0..lengths[b]) of a [B, L] grid, L the longest segment.
-    The query rows (every row by default, else the sorted stacked indices in
-    `queries`) pad the same way into [B, Lq]. A query sees the keys of its
-    own segment at or before its position; since it sits inside its
-    segment, that causal mask also hides every padded key. Padded query
-    slots see at least key 0, so they stay finite, and their outputs are
-    dropped. Build once per batch and reuse it for every layer.
-    """
-
-    def __init__(self, lengths: Sequence[int], queries: Sequence[int] | None = None):
-        lengths = np.asarray(lengths, dtype=np.intp)
-        if lengths.ndim != 1 or not lengths.size or (lengths < 1).any():
-            raise ShapeError(f"segment lengths must be positive, got {lengths.tolist()}")
-        self.n_segments = b = lengths.size
-        self.width = int(lengths.max())
-        self.n_rows = n = int(lengths.sum())
-        seg = np.repeat(np.arange(b), lengths)
-        pos = np.arange(n) - np.repeat(np.cumsum(lengths) - lengths, lengths)
-        self.key_slots = seg * self.width + pos
-        if queries is None:
-            self.n_queries, self.query_width, self.query_slots = n, self.width, self.key_slots
-            slot_pos = np.arange(b * self.width) % self.width
-        else:
-            q = np.asarray(queries, dtype=np.intp)
-            if q.ndim != 1 or not q.size or q[0] < 0 or q[-1] >= n or (np.diff(q) <= 0).any():
-                raise ShapeError(f"queries must be increasing row indices below {n}")
-            counts = np.bincount(seg[q], minlength=b)
-            self.n_queries, self.query_width = q.size, int(counts.max())
-            rank = np.arange(q.size) - np.repeat(np.cumsum(counts) - counts, counts)
-            self.query_slots = seg[q] * self.query_width + rank
-            slot_pos = np.zeros(b * self.query_width, dtype=np.intp)
-            slot_pos[self.query_slots] = pos[q]
-        mask = np.where(np.arange(self.width) > slot_pos[:, None], -np.inf, 0.0)
-        # [B, 1, Lq, L], broadcast over heads.
-        self.mask = mask.reshape(b, 1, self.query_width, self.width)
-
-
-def segment_attention(q: Tensor, k: Tensor, v: Tensor, n_heads: int, plan: SegmentPlan) -> Tensor:
-    """Causal multi-head attention within each segment of stacked rows.
-
-    q is [plan.n_queries, d]; k and v are [plan.n_rows, d]; the result is
-    [plan.n_queries, d]. One tape entry: rows are padded to [B, H, L, dh]
-    inside and gathered back, and each query row equals that row of
-    multihead_attention with _causal_mask over its own segment up to rounding.
-    """
-    n, d = q.shape
-    if d % n_heads:
-        raise ShapeError(f"head count {n_heads} must divide width {d}")
-    if n != plan.n_queries or k.shape != (plan.n_rows, d) or v.shape != k.shape:
-        raise ShapeError(
-            f"segment attention shapes differ from the plan: q {q.shape}, k {k.shape}, "
-            f"v {v.shape}, plan {plan.n_queries} queries over {plan.n_rows} rows"
-        )
-    b, dh = plan.n_segments, d // n_heads
-
-    def pad(slots, width, rows):  # [r, d] -> [B, H, width, dh]
-        if slots.size == b * width:  # no slot is padding
-            grid = rows
-        else:
-            grid = np.zeros((b * width, d))
-            grid[slots] = rows
-        return grid.reshape(b, width, n_heads, dh).transpose(0, 2, 1, 3)
-
-    def unpad(slots, width, heads):  # [B, H, width, dh] -> [r, d]
-        rows = heads.transpose(0, 2, 1, 3).reshape(b * width, d)
-        return rows if slots.size == b * width else rows[slots]
-
-    queries, keys = (plan.query_slots, plan.query_width), (plan.key_slots, plan.width)
-    split_q, merge_q = functools.partial(pad, *queries), functools.partial(unpad, *queries)
-    split_kv, merge_kv = functools.partial(pad, *keys), functools.partial(unpad, *keys)
-    return _attention(q, k, v, dh, plan.mask, split_q, merge_q, split_kv, merge_kv)[0]
 
 
 # ---------------------------------------------------------------------------

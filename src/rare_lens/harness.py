@@ -402,9 +402,9 @@ def run_pipeline(
                         "for this run; the file comes from another run"
                     )
                 product = stage.load(cfg, path, got)
-            except (FileNotFoundError, json.JSONDecodeError, ArtifactError):
-                # Missing, torn or wrong-shaped: rebuild. Only these classes,
-                # because ContractError and ConfigError are ValueErrors too.
+            except (FileNotFoundError, UnicodeDecodeError, json.JSONDecodeError, ArtifactError):
+                # Missing, torn (not UTF-8, not JSON) or wrong-shaped: rebuild. Only
+                # these classes, because ContractError and ConfigError are ValueErrors too.
                 pass
         if product is None:
             product, record = stage.build(cfg, got, records)

@@ -50,20 +50,35 @@ class AdamW:
         self._v = [np.zeros_like(p.array) for p in self.params]
 
     def step(self, grads: dict[int, np.ndarray]) -> None:
-        """Apply one update from a backward() gradient map; missing grads are 0."""
+        """Apply one update from a backward() gradient map; missing grads are 0.
+
+        The moments update in place and each new parameter array is built
+        with in-place ufuncs, in the operations and order of
+        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
+        p - lr wd p - lr (m / bc1) / (sqrt(v / bc2) + eps), so the bits match.
+        """
         self.t += 1
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for i, p in enumerate(self.params):
+        for p, m, v in zip(self.params, self._m, self._v):
             g = grads.get(p.id)
             if g is None:
                 g = np.zeros_like(p.array)
-            self._m[i] = self.beta1 * self._m[i] + (1.0 - self.beta1) * g
-            self._v[i] = self.beta2 * self._v[i] + (1.0 - self.beta2) * g * g
-            m_hat = self._m[i] / bc1
-            v_hat = self._v[i] / bc2
-            new = p.array - self.lr * self.weight_decay * p.array
-            new = new - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
+            m *= self.beta1
+            m += (1.0 - self.beta1) * g
+            g2 = (1.0 - self.beta2) * g
+            g2 *= g
+            v *= self.beta2
+            v += g2
+            denom = np.divide(v, bc2, out=g2)
+            np.sqrt(denom, out=denom)
+            denom += self.eps
+            update = m / bc1
+            update *= self.lr
+            update /= denom
+            new = p.array * (self.lr * self.weight_decay)
+            np.subtract(p.array, new, out=new)
+            new -= update
             p.assign_(new)
 
 

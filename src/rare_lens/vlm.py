@@ -272,10 +272,13 @@ def batch_nll(vlm: VLM, visual: Tensor | None, seqs: list[TokenSequence]) -> Ten
 
     `visual` stacks the visual rows of every sequence in batch order
     ([sum of n_visual, dim]), or is None when no sequence has any. Each
-    tape entry holds the rows of all sequences stacked [sum of lengths,
-    dim]; attention stays within each sequence (ad.segment_attention),
-    and the last layer runs its query, attention output, FFN and the head
-    only on the rows that predict an answer token. Equals the sum of
+    tape entry of the projections, FFN and head holds the rows of all
+    sequences stacked [sum of lengths, dim]; attention runs once per
+    sequence and layer, ad.multihead_attention with ad._causal_mask over
+    that sequence's rows, so no row sees another sequence and nothing is
+    padded. The last layer runs its query, attention output, FFN and the
+    head only on the rows that predict an answer token. A batch of one
+    attends over q, k and v as they are, without gathers. Equals the sum of
     per-sequence forwards up to float rounding.
     """
     cfg = vlm.config
@@ -289,24 +292,35 @@ def batch_nll(vlm: VLM, visual: Tensor | None, seqs: list[TokenSequence]) -> Ten
     lengths = [len(s.ids) for s in seqs]
     if max(lengths) > cfg.context:
         raise ContractError(f"sequence length {max(lengths)} exceeds context {cfg.context}")
-    rows, targets, row_start = [], [], 0
+    # Per sequence, as (query rows, key rows, causal mask): all its rows in
+    # every layer but the last, which queries only its answer-predicting rows.
+    rows, targets, every, pruned, row_start = [], [], [], [], 0
     for seq, n in zip(seqs, lengths):
         answers = seq.answer_positions()
         if not answers:
             raise ContractError("no supervised positions in sequence")
         if answers[0] == 0:
             raise ContractError("an answer at position 0 has no row to predict it")
+        first = len(rows)
         rows.extend(row_start + p - 1 for p in answers)
         targets.extend(seq.ids[p] for p in answers)
+        keys, causal = range(row_start, row_start + n), ad._causal_mask(n, n)
+        every.append((keys, keys, causal))
+        pruned.append((range(first, len(rows)), keys, causal[[p - 1 for p in answers]]))
         row_start += n
     x = _embed(w, [] if visual is None else [visual],
                [(nv, seq.text_ids, 0) for seq, nv in zip(seqs, n_visual)])
 
     last = cfg.layers - 1
-    every_row, answer_rows = ad.SegmentPlan(lengths), ad.SegmentPlan(lengths, rows)
+
+    def part(t: Tensor, span: range) -> Tensor:  # a span over all of t is t
+        return t if len(span) == t.shape[0] else ad.gather_rows(t, span)
 
     def attend(i, q, k, v):
-        return ad.segment_attention(q, k, v, cfg.heads, answer_rows if i == last else every_row)
+        outs = [ad.multihead_attention(part(q, queries), part(k, keys), part(v, keys), cfg.heads,
+                                       mask)[0]
+                for queries, keys, mask in (pruned if i == last else every)]
+        return outs[0] if len(outs) == 1 else ad.concat_rows(outs)
 
     for i in range(cfg.layers):
         x = _decoder_layer(w, i, x, attend, rows if i == last else None)

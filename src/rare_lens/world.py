@@ -400,12 +400,10 @@ def adaptive_resample(
 
 
 def write_scene(path, grid: np.ndarray) -> None:
+    """Write one scene file atomically: a reader finds the old file or the new one."""
     g, _, d_v = grid.shape
-    payload = grid.astype("<f4").tobytes()
-    with open(path, "wb") as fh:
-        fh.write(SCENE_MAGIC)
-        fh.write(struct.pack("<HII", SCENE_VERSION, g, d_v))
-        fh.write(payload)
+    header = SCENE_MAGIC + struct.pack("<HII", SCENE_VERSION, g, d_v)
+    write_atomic(path, header + grid.astype("<f4").tobytes())
 
 
 def read_scene(path) -> np.ndarray:

@@ -243,49 +243,6 @@ def test_gelu_in_place_matches_the_plain_formula_bit_for_bit():
         assert np.array_equal(backward(loss, tape)[a.id], plain_vjp)
 
 
-SEGMENTS = [5, 2, 7, 1]
-
-
-@pytest.mark.parametrize("queries", [None, [3, 4, 6, 11, 12, 13]])
-def test_segment_attention_gradients(queries):
-    rng = np.random.default_rng(9)
-    plan = ad.SegmentPlan(SEGMENTS, queries)
-    n = sum(SEGMENTS)
-    q = Tensor(rng.normal(size=(plan.n_queries, 6)), requires_grad=True)
-    k = Tensor(rng.normal(size=(n, 6)), requires_grad=True)
-    v = Tensor(rng.normal(size=(n, 6)), requires_grad=True)
-    c = Tensor(rng.normal(size=(plan.n_queries, 6)))
-
-    def f(params):
-        return ad.mean_all(ad.mul(ad.segment_attention(*params, 2, plan), c))
-
-    assert grad_check(f, [q, k, v], eps=1e-5) < 1e-4
-
-
-def test_segment_attention_rows_match_per_segment_attention():
-    rng = np.random.default_rng(10)
-    n = sum(SEGMENTS)
-    q, k, v = (rng.normal(size=(n, 6)) for _ in range(3))
-    starts = np.cumsum([0] + SEGMENTS)
-    expect = np.vstack([
-        ad.multihead_attention(*(Tensor(a[lo:hi]) for a in (q, k, v)), 2,
-                               ad._causal_mask(hi - lo, hi - lo))[0].array
-        for lo, hi in zip(starts, starts[1:])
-    ])
-    full = ad.segment_attention(Tensor(q), Tensor(k), Tensor(v), 2, ad.SegmentPlan(SEGMENTS))
-    assert np.abs(full.array - expect).max() < 1e-12
-    picked = [0, 4, 6, 7, 13]
-    part = ad.segment_attention(
-        Tensor(q[picked]), Tensor(k), Tensor(v), 2, ad.SegmentPlan(SEGMENTS, picked))
-    assert np.abs(part.array - expect[picked]).max() < 1e-12
-    with pytest.raises(ShapeError):
-        ad.SegmentPlan([3, 0])
-    with pytest.raises(ShapeError):
-        ad.SegmentPlan(SEGMENTS, [4, 3])
-    with pytest.raises(ShapeError):
-        ad.segment_attention(Tensor(q[:5]), Tensor(k), Tensor(v), 2, ad.SegmentPlan(SEGMENTS))
-
-
 def _serial_gradient(x0: np.ndarray, w0: np.ndarray) -> dict:
     x, w = Tensor(x0, requires_grad=True), Tensor(w0, requires_grad=True)
     with GradTape() as tape:

@@ -711,6 +711,30 @@ def test_interrupted_artifact_write_resumes_to_an_identical_run(tmp_path, quick_
     assert run_files(run) == run_files(quick_run)
 
 
+# A byte that is not UTF-8 tears a JSON artifact as surely as a cut does.
+@pytest.mark.parametrize("name, stages", [
+    ("dataset/manifest.json", ["dataset", "vlm", "classes", "adapter", "eval"]),
+    ("dataset/textpool.json", ["dataset", "vlm", "classes", "adapter", "eval"]),
+    ("vocab.json", ["vlm", "adapter", "eval"]),
+    ("report.json", ["eval"]),
+], ids=["manifest", "textpool", "vocab", "report"])
+def test_json_artifact_that_is_not_utf8_reruns_its_stage_and_downstream(tmp_path, quick_run,
+                                                                       monkeypatch, name, stages):
+    run = tmp_path / "run"
+    shutil.copytree(quick_run, run)
+    path = run / name
+    data = path.read_bytes()
+    path.write_bytes(data[: len(data) // 2] + b"\xff" + data[len(data) // 2 + 1 :])
+    with pytest.raises(UnicodeDecodeError):
+        path.read_text(encoding="utf-8")
+    reports = _spy_reports(monkeypatch)
+    cfg_path = tmp_path / "quick.json"
+    cfg_path.write_text(json.dumps(QUICK_DOC))
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(run)]) == 0
+    assert reports[0]["stages_run"] == stages
+    assert run_files(run) == run_files(quick_run)
+
+
 def test_failed_checkpoint_rewrite_keeps_the_file_its_record_names(tmp_path, quick_run,
                                                                     monkeypatch):
     # A torn text pool rebuilds the dataset, which reruns the fixture; its

@@ -44,6 +44,33 @@ def assert_same_state(a, b):
     assert a[3] == b[3]
 
 
+def test_adamw_step_matches_the_plain_update_bit_for_bit():
+    """The in-place step equals the plain expression, also for a missing gradient."""
+    rng = np.random.default_rng(3)
+    shapes = [(5, 7), (7,), (3, 4)]
+    params = [Tensor(rng.normal(size=s), requires_grad=True) for s in shapes]
+    opt = AdamW(params, lr=2e-3, weight_decay=0.01)
+    ps = [p.array.copy() for p in params]
+    ms = [np.zeros_like(p) for p in ps]
+    vs = [np.zeros_like(p) for p in ps]
+    b1, b2 = opt.beta1, opt.beta2
+    for t in range(1, 6):
+        grads = {p.id: rng.normal(scale=10.0 ** -t, size=p.shape) for p in params}
+        if t == 3:
+            del grads[params[1].id]
+        opt.step(grads)
+        bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+        for i, p in enumerate(params):
+            g = grads.get(p.id, np.zeros_like(ps[i]))
+            ms[i] = b1 * ms[i] + (1.0 - b1) * g
+            vs[i] = b2 * vs[i] + (1.0 - b2) * g * g
+            new = ps[i] - opt.lr * opt.weight_decay * ps[i]
+            ps[i] = new - opt.lr * (ms[i] / bc1) / (np.sqrt(vs[i] / bc2) + opt.eps)
+        for p, want, m, v, m_want, v_want in zip(params, ps, opt._m, opt._v, ms, vs):
+            assert np.array_equal(p.array, want)
+            assert np.array_equal(m, m_want) and np.array_equal(v, v_want)
+
+
 def test_rejected_epoch_restores_parameters_moments_and_step_and_halves_lr():
     opt = stepped_optimizer()
     guard = MonotoneGuard(opt, best=1.0)

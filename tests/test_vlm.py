@@ -525,7 +525,9 @@ def batch_and_oracle(model, visuals, seqs):
 @pytest.mark.parametrize("shapes", [
     [(9, 3, 2), (14, 3, 1), (6, 0, 2), (11, 4, 3), (7, 2, 2)],  # mixed lengths
     [(12, 4, 2)],  # a batch of one
-    [(8, 3, 2)] * 4,  # equal lengths: no padding
+    [(8, 3, 2)] * 4,  # equal lengths
+    [(7, 2, 2), (9, 3, 1), (16, 4, 3)],  # the longest sequence last
+    [(10, 3, 2), (2, 1, 1), (8, 0, 2)],  # a 2-row sequence: one visual row, one answer
 ])
 def test_batch_nll_matches_per_sequence_oracle(shapes):
     rng = np.random.default_rng(len(shapes))

@@ -1,6 +1,8 @@
 """Benchmark generator, frozen encoders, and frequency-aware re-sampling."""
 
+import builtins
 import dataclasses
+import io
 import json
 import re
 
@@ -232,6 +234,52 @@ def damaged_scene(tmp_path, world, damage):
     w.write_scene(path, world.grid(world.manifest.train_ids[0]))
     path.write_bytes(damage(path.read_bytes()))
     return path
+
+
+class ShortWrite:
+    """A file that takes `budget` bytes and then fails like a full disk."""
+
+    def __init__(self, fh, budget: int):
+        self.fh, self.budget = fh, budget
+
+    def write(self, data) -> int:
+        data = memoryview(data).cast("B")
+        self.fh.write(data[: self.budget])
+        if len(data) > self.budget:
+            raise OSError(28, "No space left on device")
+        self.budget -= len(data)
+        return len(data)
+
+    def close(self) -> None:
+        self.fh.close()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+def test_interrupted_scene_write_keeps_the_previous_file_whole(tmp_path, tiny_world, monkeypatch):
+    old_sid, new_sid = tiny_world.manifest.train_ids[:2]
+    path = tmp_path / "scene.bin"
+    w.write_scene(path, tiny_world.grid(old_sid))
+    old = path.read_bytes()
+    real_open = io.open
+
+    def short_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return ShortWrite(fh, len(old) // 2) if "w" in mode else fh
+
+    with monkeypatch.context() as patch:  # builtin open and the one pathlib calls
+        patch.setattr(builtins, "open", short_open)
+        patch.setattr(io, "open", short_open)
+        with pytest.raises(OSError, match="No space left"):
+            w.write_scene(path, tiny_world.grid(new_sid))
+    assert path.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["scene.bin"]
+    w.write_scene(path, tiny_world.grid(new_sid))
+    assert np.array_equal(w.read_scene(path), tiny_world.grid(new_sid))
 
 
 def test_truncated_scene_file_rejected(tmp_path, tiny_world):
