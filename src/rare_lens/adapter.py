@@ -15,7 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import check_is_fitted, check_matrix
+from .base import check_counts, check_is_fitted, check_matrix
 from .ckpt import round_f32, weights_crc
 from .embeddings import ClassEmbeddingTable
 from .errors import PairingError, ShapeError
@@ -43,6 +43,9 @@ class AdapterConfig:
     autoreg_weight: float = 1.0
     per_class_cap: int = 10
     rare_boost: int = 12
+
+    def __post_init__(self):
+        check_counts(self, "heads", "per_class_cap", "rare_boost")
 
 
 def init_adapter(dim: int, heads: int, seed: int) -> dict[str, Tensor]:

@@ -12,9 +12,10 @@ training splits a step's sequences into blocks that run in the calling
 process and in forked worker processes (optim.ForkedWorkers), each block in
 a fresh context, so it records nothing on a tape the caller holds open. A
 block opens one tape per sequence, runs `backward(..., leaves=[])` on it and
-keeps only the leaf contributions; the tape dies with the sequence. The
-caller folds the lists with `accumulate` in the order one shared tape would
-have summed them, which gives the same gradient bit for bit.
+keeps only the leaf contributions; the tape dies with the sequence. Each
+process folds the lists for its share of the parameters (optim.fold) in the
+order one shared tape would have summed them, which gives the same gradient
+bit for bit.
 
 Design choices: 64-bit floats everywhere (finite-difference checks need the
 headroom), 2-d is the largest supported rank, and tensors without
@@ -43,7 +44,7 @@ _TAPE_STACK: ContextVar[tuple["GradTape", ...]] = ContextVar("tape_stack", defau
 class Tensor:
     """Immutable-by-convention dense array with a requires_grad flag.
 
-    Training loops may swap the underlying array between tape scopes via
+    Training loops may overwrite the values between tape scopes via
     `assign_` (never while a tape that saw the tensor is alive).
     """
 
@@ -70,11 +71,15 @@ class Tensor:
         return float(self.array.reshape(()))
 
     def assign_(self, array: np.ndarray) -> None:
-        """Replace the stored values in place (optimizer use only, off-tape)."""
-        arr = np.ascontiguousarray(array, dtype=np.float64)
+        """Overwrite the stored values in place (optimizer use only, off-tape).
+
+        The array object stays, so every view of it sees the new values: a
+        parameter in ForkedWorkers' shared mapping stays shared.
+        """
+        arr = np.asarray(array, dtype=np.float64)
         if arr.shape != self.array.shape:
             raise ShapeError(f"assign_ shape {arr.shape} != {self.array.shape}")
-        self.array = arr
+        self.array[...] = arr
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -133,8 +138,8 @@ def backward(
     to a tensor this tape did not produce (a parameter or an input) is
     appended to it as (id, gradient), unsummed and in walk order, instead of
     entering the returned map. One tape holding several subgraphs that share
-    only leaves walks the last one first, so folding their separate tapes'
-    lists last first with `accumulate` gives its leaf gradients bit for bit.
+    only leaves walks the last one first, so adding their separate tapes'
+    lists up last first (optim.fold) gives its leaf gradients bit for bit.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")
@@ -156,13 +161,6 @@ def backward(
             acc = grads.get(inp_id)
             grads[inp_id] = g if acc is None else acc + g
     return grads
-
-
-def accumulate(grads: dict[int, np.ndarray], contributions: Sequence[tuple[int, np.ndarray]]):
-    """Add (id, gradient) pairs into grads in order, the way backward sums."""
-    for key, g in contributions:
-        acc = grads.get(key)
-        grads[key] = g if acc is None else acc + g
 
 
 def gradient(loss_fn: Callable[..., Tensor]) -> Callable[..., dict[int, np.ndarray]]:

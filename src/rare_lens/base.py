@@ -94,6 +94,19 @@ def json_object(doc, what: str, *keys: str) -> dict:
     return doc
 
 
+def check_counts(cfg, *names: str) -> None:
+    """Raise ConfigError unless each named field of cfg is at least 1.
+
+    For the counts the code divides by, steps a range by or draws that many
+    of: zero or a negative value would otherwise fail deep inside a later
+    stage, with a traceback and after earlier stages wrote their artifacts.
+    """
+    for name in names:
+        value = getattr(cfg, name)
+        if value < 1:
+            raise ConfigError(f"{name} must be >= 1, got {value}")
+
+
 def json_fits(value, kind: type) -> bool:
     """Whether a JSON scalar may fill a field whose default is of `kind`."""
     if isinstance(value, bool):  # bool is an int subclass, never a number here

@@ -45,6 +45,7 @@ class ExperimentConfig:
     def validate(self) -> "ExperimentConfig":
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        self.dataset.validate()
         if self.embeddings.dim != self.fixture.vlm.dim:
             raise ConfigError(
                 f"embedding dim {self.embeddings.dim} must equal the decoder "

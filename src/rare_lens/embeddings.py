@@ -17,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import check_is_fitted, check_labels, check_matrix
+from .base import check_counts, check_is_fitted, check_labels, check_matrix
 from .ckpt import round_f32, weights_crc
 from .errors import ConfigError, ContractError, GateError
 from .optim import AdamW, MonotoneGuard, train_epochs
@@ -181,6 +181,9 @@ class EmbeddingConfig:
     budget_per_class: int = 24
     gate_accuracy: float = 0.95
     gate_rare_recall: float = 0.90
+
+    def __post_init__(self):
+        check_counts(self, "dim", "batch_size", "budget_per_class")
 
 
 class ClassEmbeddingLearner:

@@ -18,7 +18,7 @@ from typing import Callable, Iterator, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradTape, Tensor, accumulate, backward
+from .autodiff import GradTape, Tensor, backward
 from .errors import ContractError
 
 # A task maps (items, lo, hi) to the result of the block items[lo:hi]: a list
@@ -30,6 +30,9 @@ class AdamW:
     """Deterministic AdamW over a fixed list of parameter tensors.
 
     Decay is decoupled from the adaptive step, applied as p -= lr * wd * p.
+    A ForkedWorkers built on this optimizer sets `workers` while it is open:
+    its step is then split across the processes, each updating its own share
+    of the parameters.
     """
 
     def __init__(
@@ -48,22 +51,37 @@ class AdamW:
         self.t = 0
         self._m = [np.zeros_like(p.array) for p in self.params]
         self._v = [np.zeros_like(p.array) for p in self.params]
+        self.workers: ForkedWorkers | None = None
 
     def step(self, grads: dict[int, np.ndarray]) -> None:
         """Apply one update from a backward() gradient map; missing grads are 0.
 
-        The moments update in place and each new parameter array is built
-        with in-place ufuncs, in the operations and order of
-        m = b1 m + (1 - b1) g, v = b2 v + (1 - b2) g g and
-        p - lr wd p - lr (m / bc1) / (sqrt(v / bc2) + eps), so the bits match.
+        With workers, grads is this process's share of the chunk's gradient
+        (ForkedWorkers.gradient): each process updates its own share, and
+        step returns once every share is updated.
         """
         self.t += 1
+        if self.workers is None:
+            self.update(range(len(self.params)), grads)
+        else:
+            self.workers.update(grads)
+
+    def update(self, indices, grads: dict[int, np.ndarray]) -> None:
+        """Update the parameters at these indices at the current step count and lr.
+
+        Parameters and moments are written in place, so an array that lives
+        in ForkedWorkers' shared mapping stays there, with in-place ufuncs
+        in the operations and order of m = b1 m + (1 - b1) g,
+        v = b2 v + (1 - b2) g g and
+        p - lr wd p - lr (m / bc1) / (sqrt(v / bc2) + eps), so the bits match.
+        """
         bc1 = 1.0 - self.beta1**self.t
         bc2 = 1.0 - self.beta2**self.t
-        for p, m, v in zip(self.params, self._m, self._v):
-            g = grads.get(p.id)
+        for i in indices:
+            p, m, v = self.params[i].array, self._m[i], self._v[i]
+            g = grads.get(self.params[i].id)
             if g is None:
-                g = np.zeros_like(p.array)
+                g = np.zeros_like(p)
             m *= self.beta1
             m += (1.0 - self.beta1) * g
             g2 = (1.0 - self.beta2) * g
@@ -76,10 +94,8 @@ class AdamW:
             update = m / bc1
             update *= self.lr
             update /= denom
-            new = p.array * (self.lr * self.weight_decay)
-            np.subtract(p.array, new, out=new)
-            new -= update
-            p.assign_(new)
+            p -= p * (self.lr * self.weight_decay)
+            p -= update
 
 
 class MonotoneGuard:
@@ -88,10 +104,10 @@ class MonotoneGuard:
     Build it with the loss before the first epoch and call accept(loss) after
     each one; it snapshots the optimizer on construction and after every
     accept. An epoch that raised the loss is rolled back (parameters, moments
-    and step count) and the learning rate is halved; any other epoch, a tie
-    included, grows the rate by 1.2, capped at twice the starting rate. The
-    recorded end-of-epoch curve therefore never increases: rejected epochs
-    show up as plateaus.
+    and step count, the arrays written in place) and the learning rate is
+    halved; any other epoch, a tie included, grows the rate by 1.2, capped
+    at twice the starting rate. The recorded end-of-epoch curve therefore
+    never increases: rejected epochs show up as plateaus.
     """
 
     def __init__(self, optimizer: AdamW, best: float):
@@ -100,14 +116,12 @@ class MonotoneGuard:
         self.lr_cap = 2.0 * optimizer.lr
         self._snapshot()
 
-    def _snapshot(self) -> None:
+    def _arrays(self) -> list[np.ndarray]:
         opt = self.optimizer
-        self._saved = (
-            [p.array.copy() for p in opt.params],
-            [m.copy() for m in opt._m],
-            [v.copy() for v in opt._v],
-            opt.t,
-        )
+        return [p.array for p in opt.params] + opt._m + opt._v
+
+    def _snapshot(self) -> None:
+        self._saved = [a.copy() for a in self._arrays()], self.optimizer.t
 
     def accept(self, loss: float) -> bool:
         """Keep the epoch if the loss did not increase; else roll back."""
@@ -116,12 +130,12 @@ class MonotoneGuard:
         if kept:
             self.best = loss
             opt.lr = min(opt.lr * 1.2, self.lr_cap)
+            self._snapshot()
         else:
-            params, opt._m, opt._v, opt.t = self._saved
-            for p, arr in zip(opt.params, params):
-                p.assign_(arr)
+            saved, opt.t = self._saved
+            for live, old in zip(self._arrays(), saved):
+                live[...] = old
             opt.lr /= 2.0
-        self._snapshot()
         return kept
 
 
@@ -132,10 +146,10 @@ def train_epochs(optimizer: AdamW, rng: np.random.Generator, n: int, batch_size:
     Each epoch draws one permutation of range(n) from the caller's rng and
     takes one optimizer step per chunk of batch_size indices (the last chunk
     may be short), on the gradient map batch_grads(chunk) returns: usually
-    autodiff.gradient(batch_loss); the fixture folds mean_gradient's blocks
-    from its ForkedWorkers. The caller's
-    loop body runs after the epoch's last step and before the next
-    permutation: it is the end-of-epoch hook.
+    autodiff.gradient(batch_loss); for the fixture, this process's share
+    of it from ForkedWorkers.gradient. The caller's loop body runs after
+    the epoch's last step and before the next permutation: it is the
+    end-of-epoch hook.
     """
     for epoch in range(epochs):
         order = rng.permutation(n)
@@ -171,70 +185,88 @@ class ForkedWorkers:
     """The calling process plus forked children, each running one block of items.
 
     Fixture training (vlm.pretrain_fixture) runs its steps and guard passes
-    on one, with the model's tensors as params; map_rows runs a pass over
-    independent items on one, with no params.
+    on one built on its AdamW; map_rows runs a pass over independent items
+    on one with no optimizer.
 
-    tasks maps a name to a Task; run(name, items) cuts items into one
+    tasks maps a name to a Task. run(name, items) cuts items into one
     contiguous block per process, runs the first block in the caller while
     the children run the others, and returns the blocks' results in block
     order. The constructor forks the children, so they inherit whatever the
     tasks read and the heap policy the package sets at import (see
-    base.keep_large_temporaries_in_the_heap); only the items and the
-    results cross the pipes. params are the tensors the tasks read and the
-    caller updates: each child's copies are views of one shared mapping,
-    which run() fills with the caller's current arrays before it dispatches
-    (AdamW and the guard's rollback rebind them). Each child has its own
-    shared region of result_floats floats, room for the largest result one
-    block returns: it copies its result there while the caller may still be
-    running its own block, and answers on its pipe with where each array
-    lies. A child's result that does not fit raises ContractError.
-    Untouched pages take no memory. Every block runs in a fresh context, so
-    a task records nothing on a tape the caller holds open, in the caller
-    or in a child.
+    base.keep_large_temporaries_in_the_heap); only items, result layouts and
+    the optimizer's lr and step count cross the pipes. Each process has its
+    own shared region of result_floats floats, room for the largest result
+    one block sends: a child copies its result there while the caller may
+    still be running its own block, and answers on its pipe with where each
+    array lies. A result that does not fit raises ContractError. Untouched
+    pages take no memory. Every block runs in a fresh context, so a task
+    records nothing on a tape the caller holds open, in the caller or in a
+    child.
+
+    With an optimizer, its parameters and both moments move into one shared
+    mapping before the fork, once, and every process reads and writes them
+    there: AdamW, Tensor.assign_ and the guard's rollback write in place.
+    Each process owns a fixed share of the parameter tensors, balanced by
+    size, and the optimizer's step is sharded (as in ZeRO, Rajbhandari et
+    al. 2020). gradient(name, items) runs a mean_gradient task block by
+    block, and each process copies its block's contributions to the other
+    processes' tensors into its region, unsummed; only the block that ends
+    the chunk, where fold starts, adds up its own first and sends one array
+    per tensor. Each process then folds every block's contributions to its
+    own tensors in fold's order, so the bits do not depend on the process
+    count, and AdamW.step has each process update its own share, returning
+    once all have. Through the same code a lone process owns every tensor.
 
     No child is made, and every block runs in the caller, when `processes`
     (default worker_processes()) is 1, when the platform has no os.fork, or
     when other threads are alive, since a forked child would inherit the
     locks they hold. A child leaves only through os._exit, so it never
     runs exit handlers or flushes the stdio buffers it inherited. An error
-    raised in a child is raised again by run() in the caller, and a child
-    that dies mid-task raises ChildProcessError there. Closing (on leaving
-    the with block, or when run() raises) closes the pipes: the children
-    read EOF and exit, and the caller reaps them.
+    raised in a child is raised again in the caller at its next wait on
+    that child, and a child that dies mid-task raises ChildProcessError
+    there. Every wait is on a pipe, and closing (on leaving the with block,
+    or when a call here raises) closes the pipes: the children read EOF and
+    exit, and the caller reaps them.
     """
 
-    def __init__(self, params: Sequence[Tensor], tasks: dict[str, Task], result_floats: int,
-                 processes: int | None = None):
-        self.params = list(params)
+    def __init__(self, tasks: dict[str, Task], result_floats: int,
+                 optimizer: AdamW | None = None, processes: int | None = None):
         self.tasks = tasks
+        self.optimizer = optimizer
+        self.params = optimizer.params if optimizer is not None else []
         self.processes = worker_processes() if processes is None else processes
-        self._children: list = []  # (pid, the caller's end of its pipe, its region)
+        self._children: list = []  # (pid, the caller's end of its pipe) of process 1, 2, ...
+        self._regions = [np.empty(0)]  # a lone process ships nothing
         if self.processes < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
             self.processes = 1
-            return
-        # Imported here: a run that makes no child does not pay for them.
-        import mmap
-        from multiprocessing.connection import Pipe
+        else:
+            # Imported here: a run that makes no child does not pay for them.
+            import mmap
+            from multiprocessing.connection import Pipe
 
-        floats = sum(p.array.size for p in self.params)
-        self._shared = np.frombuffer(mmap.mmap(-1, 8 * max(1, floats)), dtype=np.float64)
+            if optimizer is not None:
+                _share_arrays(optimizer)
+            self._regions = [np.frombuffer(mmap.mmap(-1, 8 * max(1, result_floats)), dtype=np.float64)
+                             for _ in range(self.processes)]
+        self._assign_shares()
+        if optimizer is not None:
+            optimizer.workers = self
         try:
-            for _ in range(self.processes - 1):
-                region = np.frombuffer(mmap.mmap(-1, 8 * max(1, result_floats)), dtype=np.float64)
+            for me in range(1, self.processes):
                 mine, theirs = Pipe()
                 pid = os.fork()
                 if pid == 0:
                     code = 1
                     try:
                         mine.close()
-                        for _, conn, _ in self._children:
+                        for _, conn in self._children:
                             conn.close()
-                        self._serve(theirs, region)
+                        self._serve(theirs, me)
                         code = 0
                     finally:
                         os._exit(code)
                 theirs.close()
-                self._children.append((pid, mine, region))
+                self._children.append((pid, mine))
         except BaseException:
             self.close()
             raise
@@ -246,62 +278,144 @@ class ForkedWorkers:
         self.close()
 
     def close(self) -> None:
-        """Close the pipes and reap the children; later runs stay in the caller."""
+        """Close the pipes and reap the children; later calls run in the caller."""
         children, self._children, self.processes = self._children, [], 1
-        for _, conn, _ in children:
+        self._assign_shares()
+        if self.optimizer is not None and self.optimizer.workers is self:
+            self.optimizer.workers = None
+        for _, conn in children:
             conn.close()
-        for pid, _, _ in children:
+        for pid, _ in children:
             os.waitpid(pid, 0)
+
+    def _assign_shares(self) -> None:
+        """Give each parameter tensor, largest first, to the least loaded process."""
+        self._shares: list[list[int]] = [[] for _ in range(self.processes)]
+        loads = [0] * self.processes
+        for i in sorted(range(len(self.params)), key=lambda i: -self.params[i].array.size):
+            me = loads.index(min(loads))
+            self._shares[me].append(i)
+            loads[me] += self.params[i].array.size
+        self._owner = {self.params[i].id: me for me, share in enumerate(self._shares) for i in share}
+
+    def _bounds(self, n: int) -> list[int]:
+        return [n * k // self.processes for k in range(self.processes + 1)]
 
     def run(self, name: str, items: Sequence) -> list[list]:
         """The results of tasks[name] on each block of items, in block order."""
         items = list(items)
-        bounds = [len(items) * k // self.processes for k in range(self.processes + 1)]
+        bounds = self._bounds(len(items))
         try:
             busy = []
-            if self._children:
-                offset = 0
-                for p in self.params:
-                    self._shared[offset : offset + p.array.size] = p.array.ravel()
-                    offset += p.array.size
-                for child, lo, hi in zip(self._children, bounds[1:], bounds[2:]):
-                    if lo < hi:
-                        child[1].send((name, items, lo, hi))
-                        busy.append(child)
+            for me, (_, conn) in enumerate(self._children, 1):
+                if bounds[me] < bounds[me + 1]:
+                    conn.send(("run", name, items, bounds[me], bounds[me + 1]))
+                    busy.append(me)
             results = [_detached(self.tasks[name], items, bounds[0], bounds[1])]
-            return results + [self._receive(child) for child in busy]
+            return results + [_unpack(self._receive(me), self._regions[me]) for me in busy]
         except BaseException:
             self.close()
             raise
 
-    def _serve(self, conn, region: np.ndarray) -> None:
-        """A child's loop: run each block the caller sends until its pipe closes."""
-        import traceback
+    def gradient(self, name: str, items: Sequence) -> dict:
+        """This process's share of the gradient the mean_gradient task tasks[name] gives.
 
-        offset = 0
-        for p in self.params:
-            p.array = self._shared[offset : offset + p.array.size].reshape(p.array.shape)
-            p.array.flags.writeable = False
-            offset += p.array.size
+        The values may be views into another process's region, valid until
+        the next call. Each child keeps its own share, which the next
+        update() applies.
+        """
+        items = list(items)
+        bounds = self._bounds(len(items))
+        try:
+            for me, (_, conn) in enumerate(self._children, 1):
+                conn.send(("gradient", name, items, bounds[me], bounds[me + 1]))
+            pairs = _gradient_block(self.tasks[name], items, bounds[0], bounds[1])
+            layouts = [self._pack_others(0, pairs)]
+            layouts += [self._receive(me) for me in range(1, self.processes)]
+            for _, conn in self._children:
+                conn.send(("fold", layouts))
+            return self._fold_share(0, pairs, layouts)
+        except BaseException:
+            self.close()
+            raise
+
+    def update(self, grads: dict) -> None:
+        """Update every share at the optimizer's lr and step count.
+
+        This process's share takes grads; each child's takes the gradient its
+        last fold made.
+        """
+        opt = self.optimizer
+        try:
+            for _, conn in self._children:
+                conn.send(("update", opt.lr, opt.t))
+            opt.update(self._shares[0], grads)
+            for me in range(1, self.processes):
+                self._receive(me)
+        except BaseException:
+            self.close()
+            raise
+
+    def _pack_others(self, me: int, pairs: list) -> list:
+        """Copy the contributions of process me to the other shares into its region."""
+        owner = self._owner
+        return _pack([(key, g) for key, g in pairs if owner.get(key, 0) != me], self._regions[me])
+
+    def _fold_share(self, me: int, pairs: list, layouts: list) -> dict:
+        """Fold every block's contributions to the share of process me."""
+        owner = self._owner
+        blocks = []
+        for k, layout in enumerate(layouts):
+            if k == me:
+                blocks.append([(key, g) for key, g in pairs if owner.get(key, 0) == me])
+            else:
+                region = self._regions[k]
+                blocks.append([(key, region[start : start + math.prod(shape)].reshape(shape))
+                               for key, shape, start in layout if owner.get(key, 0) == me])
+        return fold(blocks)
+
+    def _serve(self, conn, me: int) -> None:
+        """A child's loop: answer each message the caller sends until its pipe closes.
+
+        A "fold" gets no answer of its own: the "update" that follows it
+        answers for both, with the fold's error if it raised one.
+        """
+        pairs: list = []
+        share: dict = {}  # the gradient of this process's share, from the last fold
+        failed = None  # the error reply of the last fold, if it raised
         while True:
             try:
-                name, items, lo, hi = conn.recv()
+                kind, *args = conn.recv()
             except EOFError:
                 return
             try:
-                reply = ("ok", _pack(_detached(self.tasks[name], items, lo, hi), region))
+                if kind == "run":
+                    name, items, lo, hi = args
+                    reply = ("ok", _pack(_detached(self.tasks[name], items, lo, hi), self._regions[me]))
+                elif kind == "gradient":
+                    name, items, lo, hi = args
+                    pairs = _gradient_block(self.tasks[name], items, lo, hi)
+                    reply = ("ok", self._pack_others(me, pairs))
+                elif kind == "fold":
+                    share, pairs, failed = self._fold_share(me, pairs, *args), [], None
+                    continue
+                elif failed is None:
+                    self.optimizer.lr, self.optimizer.t = args
+                    self.optimizer.update(self._shares[me], share)
+                    reply = ("ok", None)
+                else:
+                    reply = failed
             except Exception as exc:
-                text = traceback.format_exc()
-                try:
-                    pickle.dumps(exc)
-                except Exception:
-                    exc = RuntimeError(text)
-                reply = ("error", exc, text)
+                reply = _error_reply(exc)
+                if kind == "fold":
+                    failed = reply
+                    continue
+            if kind == "update":
+                share, failed = {}, None
             conn.send(reply)
 
-    @staticmethod
-    def _receive(child) -> list:
-        pid, conn, region = child
+    def _receive(self, me: int):
+        pid, conn = self._children[me - 1]
         try:
             reply = conn.recv()
         except EOFError:
@@ -310,7 +424,36 @@ class ForkedWorkers:
             _, exc, text = reply
             exc.add_note(f"raised in worker process {pid}:\n{text}")
             raise exc
-        return _unpack(reply[1], region)
+        return reply[1]
+
+
+def _error_reply(exc: Exception) -> tuple:
+    """What a child sends for an error: the exception, picklable, and its traceback."""
+    import traceback
+
+    text = traceback.format_exc()
+    try:
+        pickle.dumps(exc)
+    except Exception:
+        exc = RuntimeError(text)
+    return "error", exc, text
+
+
+def _share_arrays(optimizer: AdamW) -> None:
+    """Move the optimizer's parameters and moments into one shared mapping."""
+    import mmap
+
+    arrays = [p.array for p in optimizer.params] + optimizer._m + optimizer._v
+    shared = np.frombuffer(mmap.mmap(-1, 8 * max(1, sum(a.size for a in arrays))), dtype=np.float64)
+    views, offset = [], 0
+    for a in arrays:
+        views.append(shared[offset : offset + a.size].reshape(a.shape))
+        views[-1][...] = a
+        offset += a.size
+    n = len(optimizer.params)
+    for p, view in zip(optimizer.params, views):
+        p.array = view
+    optimizer._m[:], optimizer._v[:] = views[n : 2 * n], views[2 * n :]
 
 
 def map_rows(row: Callable[[int], Sequence[float]], n: int, width: int) -> np.ndarray:
@@ -327,7 +470,7 @@ def map_rows(row: Callable[[int], Sequence[float]], n: int, width: int) -> np.nd
         rows = np.array([row(i) for i in items[lo:hi]], dtype=np.float64)
         return [(0, rows.reshape(hi - lo, width))]
 
-    with ForkedWorkers([], {"rows": block}, n * width) as workers:
+    with ForkedWorkers({"rows": block}, n * width) as workers:
         blocks = workers.run("rows", range(n))
     return np.concatenate([rows for pairs in blocks for _, rows in pairs])
 
@@ -335,6 +478,16 @@ def map_rows(row: Callable[[int], Sequence[float]], n: int, width: int) -> np.nd
 def _detached(task: Task, items: list, lo: int, hi: int) -> list:
     """Run a task outside every tape its caller holds open, in any process."""
     return contextvars.Context().run(task, items, lo, hi)
+
+
+def _gradient_block(task: Task, items: list, lo: int, hi: int) -> list:
+    """A mean_gradient block's pairs; the block that ends the chunk comes summed.
+
+    The fold starts with that block, so adding up its own contributions
+    first gives the same bits, and it then ships one array per tensor.
+    """
+    pairs = _detached(task, items, lo, hi)
+    return list(fold([pairs]).items()) if hi == len(items) else pairs
 
 
 def _pack(pairs: list, region: np.ndarray) -> list:
@@ -357,41 +510,48 @@ def _unpack(layout: list, region: np.ndarray) -> list:
 
 
 def mean_gradient(item_loss: Callable[[int], Tensor]) -> Task:
-    """A task giving, per block, the gradient of mean(item_loss(i) for i in items).
+    """A task giving, per block, its part of the gradient of mean(item_loss(i) for i in items).
 
     Each item's loss, scaled by 1/len(items), is recorded on its own tape,
     and backward returns its leaf contributions unsummed, in walk order. A
-    block lists them last item first; the block that ends the chunk adds
-    them up itself with accumulate, since the fold starts there. fold()
-    adds the blocks into one map, last block first. That is the order in
-    which one tape over the chunk, scale(add(...add(l0, l1)..., l_last),
-    1/len(items)), sums them, because the items' subgraphs share nothing but
-    leaves: the result equals that tape's gradient bit for bit, whatever the
-    blocks are.
+    block lists them last item first, whichever process runs it; fold()
+    adds them up, and ForkedWorkers.gradient has each process fold its own
+    share of the parameters, the one it updates.
     """
 
     def block(items: list, lo: int, hi: int) -> list:
         scale = 1.0 / len(items)
-        last = hi == len(items)
-        folded: dict = {}
         pairs: list = []
         for i in reversed(items[lo:hi]):
             with GradTape() as tape:
                 loss = ad.scale(item_loss(i), scale)
-            leaves: list = []
-            backward(loss, tape, leaves)
-            if last:
-                accumulate(folded, leaves)
-            else:
-                pairs.extend(leaves)
-        return list(folded.items()) if last else pairs
+            backward(loss, tape, pairs)
+        return pairs
 
     return block
 
 
 def fold(blocks: list[list]) -> dict:
-    """One gradient map from mean_gradient's blocks, added last block first."""
+    """One gradient map from mean_gradient's blocks, added last block first.
+
+    That is the order in which one tape over the chunk, scale(add(...add(l0,
+    l1)..., l_last), 1/len(items)), sums the contributions, because the
+    items' subgraphs share nothing but leaves: the map equals that tape's
+    gradient bit for bit, whatever the blocks are, and so does each share's
+    part of it when the blocks hold only the contributions to that share.
+    Only the last block, where the fold starts, may come already summed: a
+    later one cannot, since (acc + a) + b and acc + (a + b) round
+    differently.
+    """
     grads: dict = {}
+    fresh: set = set()  # keys whose sum is an array this fold made, so it may add in place
     for pairs in reversed(blocks):
-        accumulate(grads, pairs)
+        for key, g in pairs:
+            if key in fresh:
+                grads[key] += g  # the bits of acc + g
+            elif key in grads:
+                grads[key] = grads[key] + g
+                fresh.add(key)
+            else:
+                grads[key] = g
     return grads

@@ -24,11 +24,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .base import write_atomic
+from .base import check_counts, write_atomic
 from .ckpt import round_f32, weights_crc
 from .errors import ArtifactError, ContractError, GateError, ShapeError
 from .optim import (
-    AdamW, ForkedWorkers, MonotoneGuard, fold, map_rows, mean_gradient, train_epochs,
+    AdamW, ForkedWorkers, MonotoneGuard, map_rows, mean_gradient, train_epochs,
 )
 from .prompting import HINT_SUFFIX, enrich_prompt, hint_suffix
 from .world import VisionEncoder, World, random_object_grid
@@ -128,6 +128,7 @@ class VLMConfig:
     def __post_init__(self):
         if self.layers < 1:
             raise ContractError("a decoder needs at least one layer")
+        check_counts(self, "heads", "dim", "context")
         if self.dim % self.heads:
             raise ContractError("head count must divide dim")
 
@@ -552,6 +553,9 @@ class FixtureConfig:
     max_answer_len: int = 3
     vlm: VLMConfig = field(default_factory=VLMConfig)
 
+    def __post_init__(self):
+        check_counts(self, "batch_scenes", "hint_k")
+
 
 @dataclass
 class _Example:
@@ -649,11 +653,11 @@ def _fixture_tasks(vlm: VLM, sequences: list, chunk: int) -> dict:
 
 
 def _result_floats(vlm: VLM, chunk: int) -> int:
-    """Room for the largest result of a _fixture_tasks block, in floats.
+    """Room for the largest result one process sends in a _fixture_tasks pass, in floats.
 
-    That is a middle "step" block of a whole chunk, which ships each
-    sequence's contributions unsummed: two for the tied wte, one for every
-    other parameter.
+    That is a "step" block of a whole chunk, whose contributions to the
+    other processes' shares cross unsummed: two per sequence for the tied
+    wte, one for every other parameter.
     """
     return 2 * chunk * sum(p.array.size for p in vlm.parameters())
 
@@ -679,16 +683,19 @@ def pretrain_fixture(
 
     Training steps and guard passes run on this process plus forked worker
     processes (optim.ForkedWorkers: one process per usable CPU divided by
-    the BLAS threads), made once the model, tokenizer and sequences exist
-    and reaped before the gate. A step's chunk is cut into contiguous
-    blocks, this process taking the first; the block that ends the chunk is
-    folded where it ran, a middle block ships its parameter contributions
-    unsummed, and this process folds the blocks last first: the same float
-    additions in the same order as one tape over the chunk. A guard pass
+    the BLAS threads), made once the model, tokenizer, sequences and AdamW
+    exist and reaped before the gate; the parameters and moments live in
+    their shared mapping meanwhile. A step's chunk is cut into contiguous
+    blocks, this process taking the first. Each process owns a share of the
+    parameter tensors: it ships its block's contributions to the other
+    shares (unsummed, but for the block that ends the chunk, which adds its
+    own up first), adds up every block's contributions to its own share
+    last block first (the same float additions in the same order as one
+    tape over the chunk) and updates that share by AdamW. A guard pass
     splits its batch_scenes chunks the same way, and their losses are added
     here in chunk order. So the result is bit-identical whatever the
-    process count. AdamW, the guard's decisions and the gate's decoding
-    stay in this process.
+    process count. The guard's decisions and the gate's decoding stay in
+    this process.
 
     Returns the frozen (f32-rounded, checksummed) VLM, the tokenizer, and a
     log with per-epoch mean losses and gate metrics.
@@ -706,13 +713,13 @@ def pretrain_fixture(
 
     n, chunk = len(sequences), cfg.batch_scenes
     tasks = _fixture_tasks(vlm, sequences, chunk)
-    with ForkedWorkers(vlm.parameters(), tasks, _result_floats(vlm, chunk)) as workers:
-        optimizer = AdamW(vlm.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    optimizer = AdamW(vlm.parameters(), lr=cfg.lr, weight_decay=cfg.weight_decay)
+    with ForkedWorkers(tasks, _result_floats(vlm, chunk), optimizer) as workers:
         guard = MonotoneGuard(optimizer, _mean_nll(workers, n, chunk))
         epoch_losses: list[float] = [guard.best]
 
         def step(indices) -> dict:
-            return fold(workers.run("step", indices))
+            return workers.gradient("step", indices)
 
         for _ in train_epochs(optimizer, rng, n, chunk, cfg.epochs, step):
             guard.accept(_mean_nll(workers, n, chunk))

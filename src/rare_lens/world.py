@@ -69,14 +69,14 @@ class DatasetConfig:
     vision_identity: bool = False
 
     def validate(self) -> None:
-        if self.n_classes < 2 or self.grid < 4 or self.d_v < 8:
-            raise ConfigError("need C >= 2, g >= 4, d_v >= 8")
+        if self.n_classes < 2 or self.grid < 4 or self.d_v < 8 or self.d_t < 1:
+            raise ConfigError("need n_classes >= 2, grid >= 4, d_v >= 8, d_t >= 1")
         if not 0 <= self.rare_count <= self.n_classes:
-            raise ConfigError("rare_count must lie in [0, C]")
-        if self.rare_count and self.rare_n > 10:
-            raise ConfigError("rare classes need N_c <= 10")
+            raise ConfigError("rare_count must lie in [0, n_classes]")
+        if self.rare_count and not 1 <= self.rare_n <= 10:
+            raise ConfigError("rare classes need 1 <= rare_n <= 10")
         if self.rare_count < self.n_classes and self.common_n < 100:
-            raise ConfigError("common classes need N_c >= 100")
+            raise ConfigError("common classes need common_n >= 100")
         if self.test_per_class < 1:
             raise ConfigError("test_per_class must be >= 1")
 

@@ -312,6 +312,48 @@ def test_cli_malformed_config_exits_2(tmp_path, doc, args):
     assert not out.exists()
 
 
+# Each count some stage divides by, steps a range by or draws that many of,
+# then the dataset's range checks. Unchecked, a count of zero or below
+# raised a traceback, some only after the dataset, fixture and classes
+# stages had written their artifacts.
+@pytest.mark.parametrize("section, key, value", [
+    ("fixture.vlm", "heads", 0),
+    ("fixture.vlm", "dim", 0),
+    ("fixture.vlm", "context", 0),
+    ("fixture", "batch_scenes", 0),
+    ("fixture", "hint_k", 0),
+    ("embeddings", "dim", 0),
+    ("embeddings", "batch_size", 0),
+    ("embeddings", "budget_per_class", 0),
+    ("adapter", "heads", 0),
+    ("adapter", "heads", -4),
+    ("adapter", "per_class_cap", 0),
+    ("adapter", "rare_boost", 0),
+    ("dataset", "d_t", 0),
+    ("dataset", "rare_n", 0),
+    ("dataset", "rare_n", 11),
+    ("dataset", "n_classes", 1),
+    ("dataset", "grid", 3),
+    ("dataset", "d_v", 7),
+    ("dataset", "rare_count", 4),
+    ("dataset", "common_n", 99),
+    ("dataset", "test_per_class", 0),
+], ids=lambda v: str(v))
+def test_cli_config_value_out_of_range_exits_2_before_any_stage(tmp_path, capsys, section, key,
+                                                                 value):
+    doc = json.loads(json.dumps(QUICK_DOC))
+    node = doc
+    for name in section.split("."):
+        node = node.setdefault(name, {})
+    node[key] = value
+    cfg_path = tmp_path / "bad.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
+    assert key in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_unreadable_config_exits_2(tmp_path, capsys):
     out = tmp_path / "run"
     binary = tmp_path / "binary.json"
@@ -754,3 +796,36 @@ def test_failed_checkpoint_rewrite_keeps_the_file_its_record_names(tmp_path, qui
     assert cli.main(["eval", "--config", str(cfg_path), "--out", str(run)]) == 0
     assert reports[0]["stages_run"] == []
     assert run_files(run) == run_files(quick_run)
+
+
+def quick_cli(tmp_path, quick_run, command: str) -> tuple[int, Path]:
+    """Exit code of `rare-lens <command>` on a copy of the finished quick run."""
+    run = tmp_path / "run"
+    if not run.exists():
+        shutil.copytree(quick_run, run)
+    cfg_path = tmp_path / "quick.json"
+    cfg_path.write_text(json.dumps(QUICK_DOC))
+    return cli.main([command, "--config", str(cfg_path), "--out", str(run)]), run
+
+
+def test_cli_vocab_one_token_longer_than_the_checkpoint_exits_4(tmp_path, quick_run):
+    run = tmp_path / "run"
+    shutil.copytree(quick_run, run)
+    vocab = run / "vocab.json"
+    vocab.write_text(json.dumps(json.loads(vocab.read_text()) + ["extra"]))
+    assert quick_cli(tmp_path, quick_run, "eval")[0] == 4
+
+
+def test_cli_sweep_on_a_finished_run_writes_sweep_csv(tmp_path, quick_run):
+    code, run = quick_cli(tmp_path, quick_run, "sweep")
+    assert code == 0
+    with open(run / "sweep.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header[:2] == ["arm", "k"] and rows
+
+
+def test_cli_probe_on_a_finished_run_writes_the_aggregate(tmp_path, quick_run):
+    code, run = quick_cli(tmp_path, quick_run, "probe")
+    assert code == 0
+    with open(run / "probe" / "aggregate.csv", newline="") as fh:
+        assert len(list(csv.reader(fh))) > 1

@@ -183,7 +183,7 @@ def test_forked_workers_make_no_child_while_another_thread_runs():
     other = threading.Thread(target=release.wait)
     other.start()
     try:
-        with ForkedWorkers([], {"echo": echo}, 10, processes=2) as workers:
+        with ForkedWorkers({"echo": echo}, 10, processes=2) as workers:
             assert workers.processes == 1 and workers._children == []
             assert [key for block in workers.run("echo", range(5)) for key, _ in block] == [0, 1, 2, 3, 4]
     finally:
@@ -193,15 +193,15 @@ def test_forked_workers_make_no_child_while_another_thread_runs():
 
 
 def test_forked_workers_cut_contiguous_blocks_and_read_the_callers_parameters():
-    # Each block sees the parameter's value at the time of its run(), also
-    # after the caller rebinds the array, as AdamW does. A region of 16
-    # floats holds a block of four items of 4 floats, not one of five.
+    # Each block sees the parameter's value at the time of its run(): the
+    # parameter lives in the shared mapping, where assign_ writes. A region
+    # of 16 floats holds a block of four items of 4 floats, not one of five.
     param = Tensor(np.zeros((2, 2)), requires_grad=True)
 
     def shifted(items, lo, hi):
         return [(i, param.array.reshape(2, 2) + i) for i in items[lo:hi]]
 
-    with ForkedWorkers([param], {"shifted": shifted}, 16, processes=3) as workers:
+    with ForkedWorkers({"shifted": shifted}, 16, AdamW([param]), processes=3) as workers:
         for value in (1.0, 2.0):
             param.assign_(np.full((2, 2), value))
             blocks = workers.run("shifted", range(10))
@@ -219,8 +219,8 @@ def test_a_worker_process_killed_mid_task_raises_instead_of_hanging():
             os.kill(os.getpid(), signal.SIGKILL)
         return echo(items, lo, hi)
 
-    with ForkedWorkers([], {"die": die}, 10, processes=2) as workers:
-        [(pid, _, _)] = workers._children
+    with ForkedWorkers({"die": die}, 10, processes=2) as workers:
+        [(pid, _)] = workers._children
         with pytest.raises(ChildProcessError, match=f"worker process {pid} exited mid-task"):
             workers.run("die", range(4))
         assert workers._children == [] and workers.processes == 1

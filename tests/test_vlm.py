@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +18,7 @@ from rare_lens import vlm as V
 from rare_lens import world as w
 from rare_lens.autodiff import Tensor
 from rare_lens.errors import ContractError, GateError
-from rare_lens.optim import AdamW, ForkedWorkers, fold, mean_gradient
+from rare_lens.optim import AdamW, ForkedWorkers, mean_gradient
 
 RNG = np.random.default_rng(11)
 
@@ -544,6 +545,30 @@ def test_batch_nll_matches_per_sequence_oracle(shapes):
         V.batch_nll(model, None, [seq_of([1, 2, 3], n_answer=1), seq_of([4, 5], n_answer=2)])
 
 
+# Central differences through every decoder weight, the tied wte included,
+# against the tape. Weights drawn at scale 0.3, so attention is far from
+# uniform and each key gradient is large enough to show a fault: the clean
+# errors measure 3.5e-10 and 9.8e-10; attention's key gradient scaled by
+# 1 + 1e-6 reads 7.2e-7 and 1.5e-6. The bound sits 10x above the clean ones.
+DECODER_GRAD_BOUND = 1e-8
+
+
+@pytest.mark.parametrize("batched", [False, True], ids=["unpruned_nll", "batch_nll"])
+def test_decoder_weight_gradients_pass_grad_check(batched):
+    model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+    rng = np.random.default_rng(3)
+    for t in model.weights.values():
+        t.assign_(rng.normal(scale=0.3, size=t.shape))
+    features, seqs = fixture_batch([(9, 3, 2), (12, 2, 3), (7, 3, 1)], seed=7)
+    if batched:
+        def loss(_):
+            return V.batch_nll(model, V.connector(model, np.concatenate(features)), seqs)
+    else:
+        def loss(_):  # the fixture's training loss of one sequence
+            return V._unpruned_nll(model, V.connector(model, features[0]), seqs[0])
+    assert ad.grad_check(loss, model.parameters()) < DECODER_GRAD_BOUND
+
+
 def test_pruned_last_layer_gives_forward_target_logprobs():
     model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
     m = 3
@@ -604,32 +629,37 @@ def serial_step(model, features, seqs, chunk):
 
 
 def forked_step(model, features, seqs, processes):
-    """ForkedWorkers running the fixture's step on the given sequences."""
+    """An AdamW on the model and ForkedWorkers, built on it, running the fixture's step."""
     task = mean_gradient(lambda j: V._unpruned_nll(model, V.connector(model, features[j]), seqs[j]))
-    return ForkedWorkers(model.parameters(), {"step": task}, V._result_floats(model, 4),
-                         processes=processes)
+    optimizer = AdamW(model.parameters(), lr=2e-3)
+    workers = ForkedWorkers({"step": task}, V._result_floats(model, 4), optimizer, processes=processes)
+    return optimizer, workers
 
 
-# Three processes give the chunks of four a middle block, which ships its
-# contributions unsummed; the chunk of three gives every process one item.
+def optimizer_state(opt):
+    return [p.array for p in opt.params] + opt._m + opt._v
+
+
+# Three processes give every process a share and the chunks of four a middle
+# block; the chunk of three gives every process one item.
 @pytest.mark.parametrize("processes", [1, 2, 3])
 def test_pooled_fixture_step_equals_one_tape_over_the_chunk(processes):
+    """The sharded step lands where one tape over the chunk and a serial AdamW step do."""
     features, seqs = fixture_batch(FIXTURE_SHAPES)
-    models = [make_vlm(layers=2, heads=2, dim=8, ffn=16) for _ in range(2)]
-    optimizers = [AdamW(m.parameters(), lr=2e-3) for m in models]
-    serial, forked = models
-    with forked_step(forked, features, seqs, processes) as workers:
-        assert len(workers._children) == processes - 1
+    serial, forked = [make_vlm(layers=2, heads=2, dim=8, ffn=16) for _ in range(2)]
+    serial_optimizer = AdamW(serial.parameters(), lr=2e-3)
+    optimizer, workers = forked_step(forked, features, seqs, processes)
+    with workers:
+        assert len(workers._children) == processes - 1 and all(workers._shares)
+        arrays = optimizer_state(optimizer)
         for chunk in FIXTURE_CHUNKS:
-            want = serial_step(serial, features, seqs, chunk)
-            got = fold(workers.run("step", chunk))
-            for p, q in zip(serial.parameters(), forked.parameters()):
-                assert np.array_equal(want[p.id], got[q.id])
-            assert len(got) == len(forked.parameters())
-            optimizers[0].step(want)
-            optimizers[1].step(got)
-    for name, t in serial.weights.items():
-        assert np.array_equal(t.array, forked.weights[name].array), name
+            serial_optimizer.step(serial_step(serial, features, seqs, chunk))
+            optimizer.step(workers.gradient("step", chunk))
+            assert optimizer.t == serial_optimizer.t
+            for got, want in zip(optimizer_state(optimizer), optimizer_state(serial_optimizer)):
+                assert np.array_equal(got, want)
+        # Every step wrote the arrays in place: nothing was rebound or refilled.
+        assert all(a is b for a, b in zip(arrays, optimizer_state(optimizer)))
 
 
 @pytest.mark.parametrize("processes", [1, 2, 3])
@@ -643,7 +673,8 @@ def test_pooled_guard_pass_equals_the_serial_chunk_sum(processes):
         visual = V.connector(model, np.concatenate([f for f, _ in part]))
         total += V.batch_nll(model, visual, [q for _, q in part]).item()
     tasks = V._fixture_tasks(model, pairs, 3)
-    with ForkedWorkers(model.parameters(), tasks, V._result_floats(model, 3), processes=processes) as workers:
+    with ForkedWorkers(tasks, V._result_floats(model, 3), AdamW(model.parameters()),
+                       processes=processes) as workers:
         assert V._mean_nll(workers, len(pairs), 3) == total / len(pairs)
 
 
@@ -660,17 +691,20 @@ def test_fanning_out_records_nothing_on_the_callers_tape_and_frees_worker_tapes(
         return [(0, np.array([len(ad._TAPE_STACK.get()) for _ in items[lo:hi]]))]
 
     tasks = {**V._fixture_tasks(model, pairs, 3), "open_tapes": open_tapes}
-    with ForkedWorkers(model.parameters(), tasks, V._result_floats(model, 4), processes=2) as workers:
+    with ForkedWorkers(tasks, V._result_floats(model, 4), AdamW(model.parameters()),
+                       processes=2) as workers:
         before = live_tapes()
         with ad.GradTape() as outer:
-            got = fold(workers.run("step", FIXTURE_CHUNKS[1]))
+            got = workers.gradient("step", FIXTURE_CHUNKS[1])
             nll = V._mean_nll(workers, len(pairs), 3)
             depths = workers.run("open_tapes", range(4))
         assert outer.entries == []
         assert live_tapes() == before + 1  # the caller's own tape, and no block's
         assert [d.tolist() for block in depths for _, d in block] == [[0, 0], [0, 0]]
+        share = [model.parameters()[i] for i in workers._shares[0]]
     assert np.isfinite(nll)
-    for p in model.parameters():
+    assert 0 < len(got) == len(share) < len(model.parameters())  # the caller's share only
+    for p in share:
         assert np.array_equal(want[p.id], got[p.id])
 
 
@@ -705,16 +739,18 @@ def test_an_error_in_a_worker_process_is_raised_in_the_caller():
         return V._unpruned_nll(model, V.connector(model, features[j]), seqs[j])
 
     task = mean_gradient(item_loss)
-    with ForkedWorkers(model.parameters(), {"step": task}, V._result_floats(model, 4), processes=2) as workers:
-        pids = [pid for pid, _, _ in workers._children]
+    with ForkedWorkers({"step": task}, V._result_floats(model, 4), AdamW(model.parameters()),
+                       processes=2) as workers:
+        pids = [pid for pid, _ in workers._children]
         assert len(pids) == 1
         with pytest.raises(ContractError, match="sequence 5") as info:
-            workers.run("step", [0, 1, 5, 2])  # the child holds [5, 2]
+            workers.gradient("step", [0, 1, 5, 2])  # the child holds [5, 2]
         assert any(f"worker process {pids[0]}" in note for note in info.value.__notes__)
         assert_reaped(pids)
-        # A closed group runs every block in the caller, to the same bits.
+        # A closed group runs every block in the caller and owns every share,
+        # to the same bits.
         want = serial_step(model, features, seqs, [0, 1, 6, 2])
-        got = fold(workers.run("step", [0, 1, 6, 2]))
+        got = workers.gradient("step", [0, 1, 6, 2])
     for p in model.parameters():
         assert np.array_equal(want[p.id], got[p.id])
 
@@ -735,6 +771,34 @@ def test_no_worker_process_outlives_an_interrupted_fixture(mini_world, monkeypat
         V.pretrain_fixture(mini_world, MINI_FIXTURE_CFG, seed=MINI_FIXTURE_SEED)
     assert len(pids) == 1 and len(steps) == 3
     assert_reaped(pids)
+
+
+def test_fixture_trains_to_the_same_bits_at_one_two_and_three_processes(mini_world, monkeypatch):
+    """Whole fixture trainings agree at every process count, a rejected epoch included.
+
+    At this lr the guard rolls back the third epoch: a rollback that rebound
+    the arrays instead of writing them in place would leave each child's
+    share at the rejected values, and the fourth epoch would differ.
+    """
+    cfg = replace(MINI_FIXTURE_CFG, epochs=4, lr=3e-2, gate_common=0.0, gate_rare=1.0)
+    decisions, real_accept = [], optim.MonotoneGuard.accept
+
+    def accept(self, loss):
+        decisions.append(real_accept(self, loss))
+        return decisions[-1]
+
+    monkeypatch.setattr(optim.MonotoneGuard, "accept", accept)
+    runs = []
+    for processes in (1, 2, 3):
+        monkeypatch.setattr(optim, "worker_processes", lambda: processes)
+        pids = record_forks(monkeypatch)
+        decisions.clear()
+        model, _, log = V.pretrain_fixture(mini_world, cfg, seed=MINI_FIXTURE_SEED)
+        assert len(pids) == 2 * (processes - 1)  # the training's children, then the gate's
+        assert_reaped(pids)
+        assert False in decisions[:-1], decisions
+        runs.append((model.checksum(), log["epoch_losses"]))
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_worker_processes_never_flush_the_callers_stdout(tmp_path):
