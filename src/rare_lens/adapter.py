@@ -46,6 +46,7 @@ class AdapterConfig:
 
     def __post_init__(self):
         check_counts(self, "heads", "per_class_cap", "rare_boost")
+        check_counts(self, "epochs", least=0)
 
 
 def init_adapter(dim: int, heads: int, seed: int) -> dict[str, Tensor]:

@@ -11,11 +11,11 @@ it opened itself, and a new thread starts with an empty stack. Fixture
 training splits a step's sequences into blocks that run in the calling
 process and in forked worker processes (optim.ForkedWorkers), each block in
 a fresh context, so it records nothing on a tape the caller holds open. A
-block opens one tape per sequence, runs `backward(..., leaves=[])` on it and
-keeps only the leaf contributions; the tape dies with the sequence. Each
-process folds the lists for its share of the parameters (optim.fold) in the
-order one shared tape would have summed them, which gives the same gradient
-bit for bit.
+block opens one tape per sequence and runs `backward(..., leaves=sink)` on
+it, which hands each leaf contribution to the sink as it is made; the tape
+dies with the sequence. The sinks and each process's fold of its share of
+the parameters (optim.fold) add the contributions in the order one shared
+tape would have summed them, which gives the same gradient bit for bit.
 
 Design choices: 64-bit floats everywhere (finite-difference checks need the
 headroom), 2-d is the largest supported rank, and tensors without
@@ -129,17 +129,19 @@ def _record(out: Tensor, inputs: Sequence[Tensor], vjps: Sequence) -> Tensor:
 
 
 def backward(
-    loss: Tensor, tape: GradTape, leaves: list | None = None
+    loss: Tensor, tape: GradTape, leaves=None
 ) -> dict[int, np.ndarray]:
     """Walk the tape in reverse from a scalar loss; return id -> gradient.
 
     Only tensors reachable from the loss appear; frozen (requires_grad=False)
-    tensors are structurally absent. With `leaves`, a list, each contribution
-    to a tensor this tape did not produce (a parameter or an input) is
-    appended to it as (id, gradient), unsummed and in walk order, instead of
-    entering the returned map. One tape holding several subgraphs that share
-    only leaves walks the last one first, so adding their separate tapes'
-    lists up last first (optim.fold) gives its leaf gradients bit for bit.
+    tensors are structurally absent. With `leaves`, any sink with an append
+    method (a list, or a sink of optim.ForkedWorkers that sums or ships what
+    it gets), each contribution to a tensor this tape did not produce (a
+    parameter or an input) is appended to it as (id, gradient) the moment it
+    is made, unsummed and in walk order, instead of entering the returned
+    map. One tape holding several subgraphs that share only leaves walks the
+    last one first, so adding their separate tapes' contributions up last
+    first (optim.fold) gives its leaf gradients bit for bit.
     """
     if loss.shape != ():
         raise ContractError(f"backward needs a scalar loss, got shape {loss.shape}")

@@ -94,17 +94,19 @@ def json_object(doc, what: str, *keys: str) -> dict:
     return doc
 
 
-def check_counts(cfg, *names: str) -> None:
-    """Raise ConfigError unless each named field of cfg is at least 1.
+def check_counts(cfg, *names: str, least: int = 1) -> None:
+    """Raise ConfigError unless each named field of cfg is at least `least`.
 
     For the counts the code divides by, steps a range by or draws that many
     of: zero or a negative value would otherwise fail deep inside a later
     stage, with a traceback and after earlier stages wrote their artifacts.
+    Epoch counts take least=0, since zero epochs is a phase skipped on
+    purpose, and a negative count would skip it silently.
     """
     for name in names:
         value = getattr(cfg, name)
-        if value < 1:
-            raise ConfigError(f"{name} must be >= 1, got {value}")
+        if value < least:
+            raise ConfigError(f"{name} must be >= {least}, got {value}")
 
 
 def json_fits(value, kind: type) -> bool:

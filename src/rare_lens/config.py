@@ -46,6 +46,15 @@ class ExperimentConfig:
         if self.seed < 0:
             raise ConfigError(f"seed must be >= 0, got {self.seed}")
         self.dataset.validate()
+        # The shortest fixture sequence: the visual rows, <bos>, one question
+        # token, the answer name and <eos>.
+        shortest = self.dataset.grid**2 + 4
+        if self.fixture.vlm.context < shortest:
+            raise ConfigError(
+                f"fixture.vlm.context {self.fixture.vlm.context} is shorter than the "
+                f"shortest fixture sequence, {shortest} tokens at dataset.grid "
+                f"{self.dataset.grid}"
+            )
         if self.embeddings.dim != self.fixture.vlm.dim:
             raise ConfigError(
                 f"embedding dim {self.embeddings.dim} must equal the decoder "

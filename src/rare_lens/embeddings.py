@@ -184,6 +184,7 @@ class EmbeddingConfig:
 
     def __post_init__(self):
         check_counts(self, "dim", "batch_size", "budget_per_class")
+        check_counts(self, "epochs_align", "epochs_joint", least=0)
 
 
 class ClassEmbeddingLearner:

@@ -22,7 +22,8 @@ from .autodiff import GradTape, Tensor, backward
 from .errors import ContractError
 
 # A task maps (items, lo, hi) to the result of the block items[lo:hi]: a list
-# of (key, array) pairs.
+# of (key, array) pairs. A gradient task (mean_gradient) takes a fourth
+# argument instead, the sink it appends its (key, array) pairs to.
 Task = Callable[[list, int, int], list]
 
 
@@ -209,13 +210,17 @@ class ForkedWorkers:
     Each process owns a fixed share of the parameter tensors, balanced by
     size, and the optimizer's step is sharded (as in ZeRO, Rajbhandari et
     al. 2020). gradient(name, items) runs a mean_gradient task block by
-    block, and each process copies its block's contributions to the other
-    processes' tensors into its region, unsummed; only the block that ends
-    the chunk, where fold starts, adds up its own first and sends one array
-    per tensor. Each process then folds every block's contributions to its
-    own tensors in fold's order, so the bits do not depend on the process
-    count, and AdamW.step has each process update its own share, returning
-    once all have. Through the same code a lone process owns every tensor.
+    block, the caller taking the last block, where fold starts, and the
+    children the others. Contributions are handled as backward makes them:
+    the caller adds each one to a running sum per tensor, keeping the sums
+    of the other processes' tensors in its region; a child writes each of
+    its contributions to the other processes' tensors into its region,
+    unsummed, and keeps those to its own tensors. No process holds its block's
+    unsummed gradients of the whole model. Each process then folds every
+    block's contributions to its own tensors in fold's order, so the bits
+    do not depend on the process count, and AdamW.step has each process
+    update its own share, returning once all have. Through the same code a
+    lone process owns every tensor and sums its whole chunk as it goes.
 
     No child is made, and every block runs in the caller, when `processes`
     (default worker_processes()) is 1, when the platform has no os.fork, or
@@ -320,21 +325,23 @@ class ForkedWorkers:
     def gradient(self, name: str, items: Sequence) -> dict:
         """This process's share of the gradient the mean_gradient task tasks[name] gives.
 
-        The values may be views into another process's region, valid until
-        the next call. Each child keeps its own share, which the next
-        update() applies.
+        The caller runs the chunk's last block, the one fold starts with,
+        and the children run the others in order. The values may be views
+        into another process's region, valid until the next call. Each child
+        keeps its own share, which the next update() applies.
         """
         items = list(items)
         bounds = self._bounds(len(items))
+        last = self.processes - 1
         try:
             for me, (_, conn) in enumerate(self._children, 1):
-                conn.send(("gradient", name, items, bounds[me], bounds[me + 1]))
-            pairs = _gradient_block(self.tasks[name], items, bounds[0], bounds[1])
-            layouts = [self._pack_others(0, pairs)]
-            layouts += [self._receive(me) for me in range(1, self.processes)]
+                conn.send(("gradient", name, items, bounds[me - 1], bounds[me]))
+            sink = _BlockSink(self, 0, summed=True)
+            _detached(self.tasks[name], items, bounds[last], bounds[last + 1], sink)
+            layouts = [self._receive(me) for me in range(1, self.processes)] + [sink.layout]
             for _, conn in self._children:
                 conn.send(("fold", layouts))
-            return self._fold_share(0, pairs, layouts)
+            return self._fold_share(0, sink, layouts)
         except BaseException:
             self.close()
             raise
@@ -356,23 +363,23 @@ class ForkedWorkers:
             self.close()
             raise
 
-    def _pack_others(self, me: int, pairs: list) -> list:
-        """Copy the contributions of process me to the other shares into its region."""
-        owner = self._owner
-        return _pack([(key, g) for key, g in pairs if owner.get(key, 0) != me], self._regions[me])
+    def _fold_share(self, me: int, sink: _BlockSink, layouts: list) -> dict:
+        """Fold every block's contributions to the share of process me.
 
-    def _fold_share(self, me: int, pairs: list, layouts: list) -> dict:
-        """Fold every block's contributions to the share of process me."""
+        layouts lists the blocks in block order; process (k + 1) mod the
+        process count ran block k, and process me's own block is its sink.
+        """
         owner = self._owner
         blocks = []
         for k, layout in enumerate(layouts):
-            if k == me:
-                blocks.append([(key, g) for key, g in pairs if owner.get(key, 0) == me])
+            runner = (k + 1) % self.processes
+            if runner == me:
+                blocks.append(sink.pairs)
             else:
-                region = self._regions[k]
+                region = self._regions[runner]
                 blocks.append([(key, region[start : start + math.prod(shape)].reshape(shape))
                                for key, shape, start in layout if owner.get(key, 0) == me])
-        return fold(blocks)
+        return fold(blocks, sink.sums)
 
     def _serve(self, conn, me: int) -> None:
         """A child's loop: answer each message the caller sends until its pipe closes.
@@ -380,7 +387,7 @@ class ForkedWorkers:
         A "fold" gets no answer of its own: the "update" that follows it
         answers for both, with the fold's error if it raised one.
         """
-        pairs: list = []
+        sink = None  # the sink of the last "gradient" block
         share: dict = {}  # the gradient of this process's share, from the last fold
         failed = None  # the error reply of the last fold, if it raised
         while True:
@@ -394,10 +401,11 @@ class ForkedWorkers:
                     reply = ("ok", _pack(_detached(self.tasks[name], items, lo, hi), self._regions[me]))
                 elif kind == "gradient":
                     name, items, lo, hi = args
-                    pairs = _gradient_block(self.tasks[name], items, lo, hi)
-                    reply = ("ok", self._pack_others(me, pairs))
+                    sink = _BlockSink(self, me, summed=False)
+                    _detached(self.tasks[name], items, lo, hi, sink)
+                    reply = ("ok", sink.layout)
                 elif kind == "fold":
-                    share, pairs, failed = self._fold_share(me, pairs, *args), [], None
+                    share, sink, failed = self._fold_share(me, sink, *args), None, None
                     continue
                 elif failed is None:
                     self.optimizer.lr, self.optimizer.t = args
@@ -475,31 +483,63 @@ def map_rows(row: Callable[[int], Sequence[float]], n: int, width: int) -> np.nd
     return np.concatenate([rows for pairs in blocks for _, rows in pairs])
 
 
-def _detached(task: Task, items: list, lo: int, hi: int) -> list:
+def _detached(task: Callable, items: list, lo: int, hi: int, *sink) -> list:
     """Run a task outside every tape its caller holds open, in any process."""
-    return contextvars.Context().run(task, items, lo, hi)
+    return contextvars.Context().run(task, items, lo, hi, *sink)
 
 
-def _gradient_block(task: Task, items: list, lo: int, hi: int) -> list:
-    """A mean_gradient block's pairs; the block that ends the chunk comes summed.
+class _BlockSink:
+    """Where one block of ForkedWorkers.gradient puts backward's leaf contributions.
 
-    The fold starts with that block, so adding up its own contributions
-    first gives the same bits, and it then ships one array per tensor.
+    Those to the share of process me stay here; those to the other shares go
+    into its region, and layout says where. The block fold starts with
+    (summed) adds each contribution to a running sum as it comes, the same
+    additions in the same order as fold, the other shares' sums living in
+    the region from their first contribution on. Any other block writes its
+    contributions to the other shares into the region one by one and keeps
+    those to its own unsummed: a fold can take only its first block summed,
+    since (acc + a) + b and acc + (a + b) round differently.
     """
-    pairs = _detached(task, items, lo, hi)
-    return list(fold([pairs]).items()) if hi == len(items) else pairs
+
+    def __init__(self, workers: ForkedWorkers, me: int, summed: bool):
+        self.owner, self.me = workers._owner, me
+        self.region, self.layout = workers._regions[me], []
+        self.sums = _Sums() if summed else None  # this share's running sums
+        self.pairs: list = []  # this share's contributions, unsummed, if not summed
+        self._slots: dict = {}  # key -> the running sum of another share's tensor, if summed
+
+    def append(self, pair: tuple) -> None:
+        key, g = pair
+        if self.owner.get(key, 0) == self.me:
+            if self.sums is None:
+                self.pairs.append(pair)
+            else:
+                self.sums.add(key, g)
+        elif key in self._slots:
+            self._slots[key] += g  # the bits of acc + g
+        else:
+            view = _put(self.region, self.layout, key, g)
+            if self.sums is not None:
+                self._slots[key] = view
+
+
+def _put(region: np.ndarray, layout: list, key, arr) -> np.ndarray:
+    """Copy arr into region after the arrays layout lists; list it and return its view."""
+    arr = np.asarray(arr, dtype=np.float64)
+    start = layout[-1][2] + math.prod(layout[-1][1]) if layout else 0
+    if start + arr.size > region.size:
+        raise ContractError(f"a block's result does not fit its region of {region.size} floats")
+    view = region[start : start + arr.size].reshape(arr.shape)
+    view[...] = arr
+    layout.append((key, arr.shape, start))
+    return view
 
 
 def _pack(pairs: list, region: np.ndarray) -> list:
     """Copy (key, array) pairs into region; the layout says where each one went."""
-    layout, offset = [], 0
+    layout: list = []
     for key, arr in pairs:
-        arr = np.asarray(arr, dtype=np.float64)
-        if offset + arr.size > region.size:
-            raise ContractError(f"a block's result does not fit its region of {region.size} floats")
-        region[offset : offset + arr.size] = arr.ravel()
-        layout.append((key, arr.shape, offset))
-        offset += arr.size
+        _put(region, layout, key, arr)
     return layout
 
 
@@ -509,29 +549,50 @@ def _unpack(layout: list, region: np.ndarray) -> list:
             for key, shape, start in layout]
 
 
-def mean_gradient(item_loss: Callable[[int], Tensor]) -> Task:
-    """A task giving, per block, its part of the gradient of mean(item_loss(i) for i in items).
+def mean_gradient(item_loss: Callable[[int], Tensor]) -> Callable:
+    """A gradient task: per block, its part of the gradient of mean(item_loss(i) for i in items).
 
     Each item's loss, scaled by 1/len(items), is recorded on its own tape,
-    and backward returns its leaf contributions unsummed, in walk order. A
-    block lists them last item first, whichever process runs it; fold()
-    adds them up, and ForkedWorkers.gradient has each process fold its own
-    share of the parameters, the one it updates.
+    and backward appends its leaf contributions to the sink one by one, in
+    walk order, as it makes them. A block goes last item first, whichever
+    process runs it. ForkedWorkers.gradient gives each block the sink
+    (_BlockSink) that adds up or ships its contributions, and has each
+    process fold its own share of the parameters, the one it updates.
     """
 
-    def block(items: list, lo: int, hi: int) -> list:
+    def block(items: list, lo: int, hi: int, sink) -> None:
         scale = 1.0 / len(items)
-        pairs: list = []
         for i in reversed(items[lo:hi]):
             with GradTape() as tape:
                 loss = ad.scale(item_loss(i), scale)
-            backward(loss, tape, pairs)
-        return pairs
+            backward(loss, tape, sink)
 
     return block
 
 
-def fold(blocks: list[list]) -> dict:
+class _Sums(dict):
+    """key -> a running sum of gradient contributions, each added as it comes.
+
+    The first contribution is kept as given; the second makes an array of
+    the sum's own, to which the others are added in place, with the bits of
+    acc + g.
+    """
+
+    def __init__(self):
+        super().__init__()
+        self._fresh: set = set()  # keys whose sum is an array made here
+
+    def add(self, key, g: np.ndarray) -> None:
+        if key in self._fresh:
+            self[key] += g
+        elif key in self:
+            self[key] = self[key] + g
+            self._fresh.add(key)
+        else:
+            self[key] = g
+
+
+def fold(blocks: list[list], sums: _Sums | None = None) -> dict:
     """One gradient map from mean_gradient's blocks, added last block first.
 
     That is the order in which one tape over the chunk, scale(add(...add(l0,
@@ -539,19 +600,13 @@ def fold(blocks: list[list]) -> dict:
     items' subgraphs share nothing but leaves: the map equals that tape's
     gradient bit for bit, whatever the blocks are, and so does each share's
     part of it when the blocks hold only the contributions to that share.
-    Only the last block, where the fold starts, may come already summed: a
-    later one cannot, since (acc + a) + b and acc + (a + b) round
-    differently.
+    The last block, where the fold starts, may come already summed, as the
+    running sums it was added into as backward made them (sums, which the
+    fold goes on adding into); no later one may, since (acc + a) + b and
+    acc + (a + b) round differently.
     """
-    grads: dict = {}
-    fresh: set = set()  # keys whose sum is an array this fold made, so it may add in place
+    sums = _Sums() if sums is None else sums
     for pairs in reversed(blocks):
         for key, g in pairs:
-            if key in fresh:
-                grads[key] += g  # the bits of acc + g
-            elif key in grads:
-                grads[key] = grads[key] + g
-                fresh.add(key)
-            else:
-                grads[key] = g
-    return grads
+            sums.add(key, g)
+    return sums

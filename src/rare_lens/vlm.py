@@ -555,6 +555,7 @@ class FixtureConfig:
 
     def __post_init__(self):
         check_counts(self, "batch_scenes", "hint_k")
+        check_counts(self, "epochs", least=0)
 
 
 @dataclass
@@ -655,9 +656,10 @@ def _fixture_tasks(vlm: VLM, sequences: list, chunk: int) -> dict:
 def _result_floats(vlm: VLM, chunk: int) -> int:
     """Room for the largest result one process sends in a _fixture_tasks pass, in floats.
 
-    That is a "step" block of a whole chunk, whose contributions to the
-    other processes' shares cross unsummed: two per sequence for the tied
-    wte, one for every other parameter.
+    That bounds a child's "step" block, which writes its contributions to
+    the other processes' shares into its region unsummed, as backward makes
+    them: two per sequence for the tied wte, one for every other parameter.
+    The caller's block keeps one running sum per tensor there.
     """
     return 2 * chunk * sum(p.array.size for p in vlm.parameters())
 
@@ -686,16 +688,17 @@ def pretrain_fixture(
     the BLAS threads), made once the model, tokenizer, sequences and AdamW
     exist and reaped before the gate; the parameters and moments live in
     their shared mapping meanwhile. A step's chunk is cut into contiguous
-    blocks, this process taking the first. Each process owns a share of the
-    parameter tensors: it ships its block's contributions to the other
-    shares (unsummed, but for the block that ends the chunk, which adds its
-    own up first), adds up every block's contributions to its own share
-    last block first (the same float additions in the same order as one
-    tape over the chunk) and updates that share by AdamW. A guard pass
-    splits its batch_scenes chunks the same way, and their losses are added
-    here in chunk order. So the result is bit-identical whatever the
-    process count. The guard's decisions and the gate's decoding stay in
-    this process.
+    blocks, this process taking the last, where the fold starts. Each
+    process owns a share of the parameter tensors. This process adds each
+    gradient contribution to a running sum per tensor as backward makes
+    it; each child ships its contributions to the other shares unsummed as
+    they come and keeps those to its own. Each process then adds up every
+    block's contributions to its own share last block first (the same float
+    additions in the same order as one tape over the chunk) and updates
+    that share by AdamW. A guard pass splits its batch_scenes chunks the
+    same way, and their losses are added here in chunk order. So the result
+    is bit-identical whatever the process count. The guard's decisions and
+    the gate's decoding stay in this process.
 
     Returns the frozen (f32-rounded, checksummed) VLM, the tokenizer, and a
     log with per-epoch mean losses and gate metrics.

@@ -322,13 +322,18 @@ def test_cli_malformed_config_exits_2(tmp_path, doc, args):
     ("fixture.vlm", "context", 0),
     ("fixture", "batch_scenes", 0),
     ("fixture", "hint_k", 0),
+    ("fixture", "epochs", -1),
+    ("fixture.vlm", "context", 19),  # grid 4: 16 visual rows + 4
     ("embeddings", "dim", 0),
     ("embeddings", "batch_size", 0),
     ("embeddings", "budget_per_class", 0),
+    ("embeddings", "epochs_align", -1),
+    ("embeddings", "epochs_joint", -1),
     ("adapter", "heads", 0),
     ("adapter", "heads", -4),
     ("adapter", "per_class_cap", 0),
     ("adapter", "rare_boost", 0),
+    ("adapter", "epochs", -1),
     ("dataset", "d_t", 0),
     ("dataset", "rare_n", 0),
     ("dataset", "rare_n", 11),
@@ -352,6 +357,41 @@ def test_cli_config_value_out_of_range_exits_2_before_any_stage(tmp_path, capsys
     assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 2
     assert key in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_config_zero_epochs_and_the_shortest_context_load():
+    """Zero epochs skips a phase on purpose; criterion 8 builds an identity adapter so."""
+    doc = json.loads(json.dumps(QUICK_DOC))
+    doc["fixture"].update(epochs=0)
+    doc["fixture"]["vlm"].update(context=20)
+    doc["embeddings"].update(epochs_align=0, epochs_joint=0)
+    doc["adapter"].update(epochs=0)
+    cfg = config_from_dict(doc)
+    assert (cfg.fixture.epochs, cfg.embeddings.epochs_align, cfg.embeddings.epochs_joint,
+            cfg.adapter.epochs, cfg.fixture.vlm.context) == (0, 0, 0, 0, 20)
+
+
+# The two gates the eval pipeline itself enforces: scenes too noisy for the
+# default prototype gate (accuracy 0.167 against 0.95), and a decoder so
+# small that the plug-in parameters pass 10% of it (1,904 against 3,456).
+@pytest.mark.parametrize("section, values, message, missing", [
+    ("dataset", {"noise": 20.0}, "prototype gate unmet", "classes.ckpt"),
+    ("fixture.vlm", {"ffn_hidden": 16}, "plug-in parameter budget exceeded", "report.json"),
+], ids=["prototype-gate", "plugin-budget"])
+def test_cli_gate_failure_exits_3(tmp_path, capsys, section, values, message, missing):
+    doc = json.loads(json.dumps(QUICK_DOC))
+    doc["embeddings"].update(gate_accuracy=0.95, gate_rare_recall=0.90)  # the defaults
+    node = doc
+    for name in section.split("."):
+        node = node.setdefault(name, {})
+    node.update(values)
+    cfg_path = tmp_path / "gate.json"
+    cfg_path.write_text(json.dumps(doc))
+    out = tmp_path / "run"
+    assert cli.main(["eval", "--config", str(cfg_path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"gate failure: {message}") and "Traceback" not in err
+    assert (out / "vlm.ckpt").exists() and not (out / missing).exists()
 
 
 def test_cli_unreadable_config_exits_2(tmp_path, capsys):

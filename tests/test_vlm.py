@@ -5,6 +5,7 @@ import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -708,6 +709,37 @@ def test_fanning_out_records_nothing_on_the_callers_tape_and_frees_worker_tapes(
         assert np.array_equal(want[p.id], got[p.id])
 
 
+def test_a_fixture_step_holds_no_chunk_of_unsummed_gradients(mini_world):
+    """One step's peak traced memory stays under 8x the parameter bytes.
+
+    numpy reports its allocations to tracemalloc. On these shapes at one
+    process, a step that kept the chunk's 8 per-sequence gradients unsummed
+    until the block ended peaked at 12.0-13.0x over the chunks of an epoch;
+    summing each contribution as backward makes it peaks at 4.7-5.7x (one
+    sequence's tape and the running sums).
+    """
+    cfg = MINI_FIXTURE_CFG
+    tokenizer = V.Tokenizer.build(mini_world)
+    model = V.init_vlm(replace(cfg.vlm, d_v=mini_world.manifest.config.d_v), len(tokenizer), 0)
+    encoder = w.VisionEncoder.for_world(mini_world)
+    examples = V._fixture_examples(mini_world, encoder, cfg, np.random.default_rng(0))
+    pairs = [(ex.features, V.build_qa(tokenizer, ex.features.shape[0], ex.prompt, ex.answer))
+             for ex in examples]
+    optimizer = AdamW(model.parameters(), lr=cfg.lr)
+    param_bytes = sum(p.array.nbytes for p in model.parameters())
+    with ForkedWorkers(V._fixture_tasks(model, pairs, 8), V._result_floats(model, 8), optimizer,
+                       processes=1) as workers:
+        optimizer.step(workers.gradient("step", range(8)))  # warm-up
+        tracemalloc.start()
+        try:
+            grads = workers.gradient("step", range(8, 16))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert len(grads) == len(model.parameters())
+    assert peak < 8 * param_bytes, peak / param_bytes
+
+
 def record_forks(monkeypatch) -> list:
     """Wrap os.fork so the caller's list receives the pid of every child made."""
     pids, real = [], os.fork
@@ -729,22 +761,27 @@ def assert_reaped(pids):
             os.kill(pid, 0)
 
 
-def test_an_error_in_a_worker_process_is_raised_in_the_caller():
-    features, seqs = fixture_batch(FIXTURE_SHAPES)
-    model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+def broken_step_workers(model, features, seqs):
+    """ForkedWorkers at 2 processes on a step whose sequence 5 raises."""
 
     def item_loss(j):
         if j == 5:
             raise ContractError("sequence 5 is broken")
         return V._unpruned_nll(model, V.connector(model, features[j]), seqs[j])
 
-    task = mean_gradient(item_loss)
-    with ForkedWorkers({"step": task}, V._result_floats(model, 4), AdamW(model.parameters()),
-                       processes=2) as workers:
+    return ForkedWorkers({"step": mean_gradient(item_loss)}, V._result_floats(model, 4),
+                         AdamW(model.parameters()), processes=2)
+
+
+def test_an_error_in_a_worker_process_is_raised_in_the_caller():
+    features, seqs = fixture_batch(FIXTURE_SHAPES)
+    model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+
+    with broken_step_workers(model, features, seqs) as workers:
         pids = [pid for pid, _ in workers._children]
         assert len(pids) == 1
         with pytest.raises(ContractError, match="sequence 5") as info:
-            workers.gradient("step", [0, 1, 5, 2])  # the child holds [5, 2]
+            workers.gradient("step", [5, 1, 0, 2])  # the child holds [5, 1], the caller [0, 2]
         assert any(f"worker process {pids[0]}" in note for note in info.value.__notes__)
         assert_reaped(pids)
         # A closed group runs every block in the caller and owns every share,
@@ -753,6 +790,18 @@ def test_an_error_in_a_worker_process_is_raised_in_the_caller():
         got = workers.gradient("step", [0, 1, 6, 2])
     for p in model.parameters():
         assert np.array_equal(want[p.id], got[p.id])
+
+
+def test_an_error_in_the_callers_block_is_raised_with_no_worker_note():
+    features, seqs = fixture_batch(FIXTURE_SHAPES)
+    model = make_vlm(layers=2, heads=2, dim=8, ffn=16)
+    with broken_step_workers(model, features, seqs) as workers:
+        pids = [pid for pid, _ in workers._children]
+        with pytest.raises(ContractError, match="sequence 5") as info:
+            workers.gradient("step", [0, 1, 5, 2])  # the caller holds [5, 2]
+        assert not any("worker process" in note for note in getattr(info.value, "__notes__", []))
+        assert len(pids) == 1 and workers.processes == 1
+        assert_reaped(pids)
 
 
 def test_no_worker_process_outlives_an_interrupted_fixture(mini_world, monkeypatch):
